@@ -1,9 +1,10 @@
 """Command-line pipelines: ingest, analyze, simulate.
 
 Stages communicate only through files (the word-day matrix format plus
-CSV/JSON reports), so each one can be run and tested in isolation.  All
-randomized stages take an explicit ``--seed``; reruns with an identical
-configuration produce byte-identical outputs.
+CSV/JSON reports), so each one can be run and tested in isolation.
+Randomized analysis stages take ``--seed`` (default 0, recorded in the
+manifest); reruns with an identical configuration produce byte-identical
+outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -108,13 +109,13 @@ def main(argv=None) -> int:
             return EXIT_NUMERIC
         print(f"wordburst: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"wordburst: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 
 def cmd_ingest(args) -> int:
-    outdir = _prepare_outdir(args.output)
+    outdir = _prepare_outdir(args.output, [args.input, args.scan_log])
     posts, horizon = read_flat_corpus(args.input)
     matrix = bin_daily(posts, horizon)
     if args.scan_log:
@@ -131,7 +132,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    outdir = _prepare_outdir(args.output)
+    if args.k_min is not None and args.k_max is not None and args.k_min > args.k_max:
+        print(f"wordburst: error: --k-min {args.k_min} exceeds --k-max {args.k_max}", file=sys.stderr)
+        return EXIT_USAGE
+    outdir = _prepare_outdir(args.output, [args.input])
     matrix = load_matrix(args.input)
     config = {
         "input": args.input, "mode": args.mode, "k_min": args.k_min,
@@ -250,7 +254,7 @@ def _analyze_dense(matrix, outdir, args) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    outdir = _prepare_outdir(args.output)
+    outdir = _prepare_outdir(args.output, [args.spec])
     spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
     matrix = generate(spec)
     save_matrix(matrix, outdir / "matrix.tsv")
@@ -259,9 +263,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _prepare_outdir(path) -> Path:
+def _prepare_outdir(path, inputs: list) -> Path:
+    """Create the output directory and delete the files its previous
+    manifest lists, so no result of an earlier run outlives this one.
+
+    Only plain file names inside the directory are deleted, and never one
+    of this command's ``inputs``.
+    """
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        listed = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return outdir
+    keep = {Path(p).resolve() for p in inputs if p}
+    for name in (listed if isinstance(listed, list) else []) + ["manifest.json"]:
+        if isinstance(name, str) and name and Path(name).name == name:
+            stale = outdir / name
+            if stale.is_file() and stale.resolve() not in keep:
+                stale.unlink()
     return outdir
 
 

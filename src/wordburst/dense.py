@@ -18,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import Ensemble, build_ensembles, select_dense
 from .fileio import atomic_writer
 from .matrix import WordDayMatrix
 from .seeding import substream
+
+BLOCK_CELLS = 1 << 19  # day counts per dense block (4 MB of int64), whatever the horizon
 
 
 @dataclass
@@ -40,28 +43,48 @@ class DailyCountDistribution:
 
 
 def daily_count_distribution(series, k: int, horizon: int) -> DailyCountDistribution:
-    """p(x, k) for one word whose day counts sum to ``k``."""
-    x = _dense_series(series, horizon)
+    """p(x, k) for one word whose day counts sum to ``k``.
+
+    ``series`` is ``{day: count}`` or a length-``horizon`` count vector.
+    """
+    x = _one_row(series, horizon)
     total = int(x.sum())
     if total != k:
         raise ValueError(f"series total {total} does not match k={k}")
-    hist = np.bincount(x)
-    probs = hist / horizon
-    mean = k / horizon
-    std = float(np.sqrt(np.mean((x - mean) ** 2)))
-    return DailyCountDistribution(
-        k=k, horizon=horizon, probs=probs, mean=mean, std=std, degenerate=std == 0.0,
-    )
+    std = float(_standardize(x, k / horizon)[1][0])
+    return DailyCountDistribution(k=k, horizon=horizon, probs=np.bincount(x[0]) / horizon,
+                                  mean=k / horizon, std=std, degenerate=std == 0.0)
 
 
 def rescaled_values(series, k: int, horizon: int) -> np.ndarray | None:
     """Standardized day counts (x - k/T)/sigma, or None when sigma is 0."""
-    x = _dense_series(series, horizon).astype(float)
-    mean = k / horizon
-    std = np.sqrt(np.mean((x - mean) ** 2))
-    if std == 0.0:
-        return None
-    return (x - mean) / std
+    xt, std = _standardize(_one_row(series, horizon), k / horizon)
+    return xt[0] if std[0] > 0 else None
+
+
+def _one_row(series, horizon: int) -> np.ndarray:
+    """(1 x horizon) count block of one word given as {day: count} or a day vector."""
+    if isinstance(series, np.ndarray):
+        if series.shape != (horizon,):
+            raise ValueError(f"expected a length-{horizon} vector")
+        return series.astype(np.int64)[None, :]
+    return WordDayMatrix.from_mapping(horizon, {"": series}).dense_block([""])
+
+
+def _standardize(block: np.ndarray, mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean)/sigma for each row of a (words x T) count block with
+    sigma > 0, and every row's sigma (population standard deviation)."""
+    dev = block - mean
+    std = np.sqrt(np.mean(dev**2, axis=1))
+    return dev[std > 0] / std[std > 0, None], std
+
+
+def _class_blocks(matrix: WordDayMatrix, classes: list[Ensemble]):
+    """(k, dense block) per class, at most BLOCK_CELLS day counts (or one word) per block."""
+    step = max(1, BLOCK_CELLS // matrix.horizon)
+    for ens in classes:
+        for i in range(0, ens.n_k, step):
+            yield ens.k, matrix.dense_block(ens.words[i:i + step])
 
 
 @dataclass
@@ -91,36 +114,22 @@ class RescaledCountDistribution:
 def pool_rescaled(matrix: WordDayMatrix, k_lo: int, k_hi: int,
                   bin_width: float = 0.25, window: tuple[float, float] = (-6.0, 10.0)) -> RescaledCountDistribution:
     """Pool standardized daily counts of every word with total in [k_lo, k_hi]."""
-    if k_lo > k_hi:
-        raise ValueError(f"empty range: k_lo {k_lo} > k_hi {k_hi}")
+    classes = select_dense(build_ensembles(matrix), k_lo, k_hi)
     lo, hi = window
     edges = np.arange(lo, hi + bin_width / 2, bin_width)
-    values = []
-    used = skipped = 0
-    for word in matrix.words():
-        k = matrix.total(word)
-        if not k_lo <= k <= k_hi:
-            continue
-        xt = rescaled_values(matrix.series(word), k, matrix.horizon)
-        if xt is None:
-            skipped += 1
-            continue
-        used += 1
-        values.append(xt)
-    if values:
-        pooled = np.concatenate(values)
-        counts, _ = np.histogram(pooled, bins=edges)
-        total_in = counts.sum()
-        density = counts / (total_in * bin_width) if total_in else np.zeros(edges.size - 1)
-        clipped = int(pooled.size - total_in)
-        n_values = int(pooled.size)
-    else:
-        density = np.zeros(edges.size - 1)
-        clipped = n_values = 0
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    used = n_values = 0
+    for k, block in _class_blocks(matrix, classes):
+        xt, _ = _standardize(block, k / matrix.horizon)
+        counts += np.histogram(xt, bins=edges)[0]
+        used += xt.shape[0]
+        n_values += xt.size
+    total_in = int(counts.sum())
+    density = counts / (total_in * bin_width) if total_in else np.zeros(edges.size - 1)
     return RescaledCountDistribution(
         k_lo=k_lo, k_hi=k_hi, bin_edges=edges, density=density,
-        word_count=used, skipped_words=skipped,
-        value_count=n_values, clipped_count=clipped,
+        word_count=used, skipped_words=sum(e.n_k for e in classes) - used,
+        value_count=n_values, clipped_count=n_values - total_in,
     )
 
 
@@ -133,14 +142,9 @@ def poisson_null_ensemble(k: int, horizon: int, n_words: int, seed: int,
     """
     if k < 1 or n_words < 1:
         raise ValueError("k and n_words must be >= 1")
-    matrix = WordDayMatrix(horizon=horizon)
     width = len(str(n_words - 1)) if n_words > 1 else 1
-    for i in range(n_words):
-        rng = substream(seed, i)
-        counts = rng.multinomial(k, np.full(horizon, 1.0 / horizon))
-        days = np.nonzero(counts)[0]
-        matrix.counts[f"{name_prefix}k{k}_{i:0{width}d}"] = {int(d): int(counts[d]) for d in days}
-    return matrix
+    names = [f"{name_prefix}k{k}_{i:0{width}d}" for i in range(n_words)]
+    return _box_allocation(names, [k] * n_words, horizon, seed)
 
 
 def matched_poisson_null(matrix: WordDayMatrix, k_lo: int, k_hi: int, seed: int) -> WordDayMatrix:
@@ -149,16 +153,17 @@ def matched_poisson_null(matrix: WordDayMatrix, k_lo: int, k_hi: int, seed: int)
     Word order is sorted for determinism; substream index follows that
     order.
     """
-    null = WordDayMatrix(horizon=matrix.horizon)
-    selected = sorted(w for w in matrix.words() if k_lo <= matrix.total(w) <= k_hi)
-    p = np.full(matrix.horizon, 1.0 / matrix.horizon)
-    for i, word in enumerate(selected):
-        k = matrix.total(word)
-        rng = substream(seed, i)
-        counts = rng.multinomial(k, p)
-        days = np.nonzero(counts)[0]
-        null.counts[f"null_{word}"] = {int(d): int(counts[d]) for d in days}
-    return null
+    pairs = sorted((w, e.k) for e in select_dense(build_ensembles(matrix), k_lo, k_hi) for w in e.words)
+    return _box_allocation([f"null_{w}" for w, _ in pairs], [k for _, k in pairs], matrix.horizon, seed)
+
+
+def _box_allocation(names: list[str], ks: list[int], horizon: int, seed: int) -> WordDayMatrix:
+    """Word ``names[i]`` drops ``ks[i]`` events uniformly into the day boxes,
+    drawing from substream ``i``."""
+    p = np.full(horizon, 1.0 / horizon)
+    return WordDayMatrix.from_day_vectors(horizon, (
+        (name, substream(seed, i).multinomial(k, p)) for i, (name, k) in enumerate(zip(names, ks))
+    ))
 
 
 @dataclass
@@ -186,25 +191,16 @@ class SigmaScalingTable:
 
 def sigma_scaling(matrix: WordDayMatrix, k_values=None, min_words: int = 1) -> SigmaScalingTable:
     """Fit log-log slopes of spread against k over exact-k classes."""
-    by_k: dict[int, list[str]] = {}
-    for word in matrix.words():
-        by_k.setdefault(matrix.total(word), []).append(word)
-    ks = sorted(by_k) if k_values is None else sorted(set(k_values) & by_k.keys())
+    index = build_ensembles(matrix)
+    ks = index.ks() if k_values is None else sorted(set(k_values) & set(index.ks()))
     rows = []
-    for k in ks:
-        words = by_k[k]
-        if len(words) < min_words:
-            continue
-        rels, abss = [], []
-        for w in words:
-            d = daily_count_distribution(matrix.series(w), k, matrix.horizon)
-            if d.degenerate:
-                continue
-            rels.append(d.std / d.mean)
-            abss.append(d.std)
-        if rels:
-            rows.append(SigmaScalingRow(k=k, n_words=len(rels),
-                                        sigma_rel=float(np.mean(rels)), sigma_abs=float(np.mean(abss))))
+    for ens in (index[k] for k in ks if index[k].n_k >= min_words):
+        mean = ens.k / matrix.horizon
+        std = np.concatenate([_standardize(block, mean)[1] for _, block in _class_blocks(matrix, [ens])])
+        std = std[std > 0]
+        if std.size:
+            rows.append(SigmaScalingRow(k=ens.k, n_words=int(std.size), sigma_rel=float(np.mean(std / mean)),
+                                        sigma_abs=float(np.mean(std))))
     if len(rows) < 3:
         raise ValueError("need >= 3 populated k classes to fit a scaling exponent")
     kk = np.array([r.k for r in rows], dtype=float)
@@ -214,19 +210,6 @@ def sigma_scaling(matrix: WordDayMatrix, k_values=None, min_words: int = 1) -> S
     exponent_rel = float(np.polyfit(lk, np.log([r.sigma_rel for r in rows]), 1)[0])
     exponent_abs = float(np.polyfit(lk, np.log([r.sigma_abs for r in rows]), 1)[0])
     return SigmaScalingTable(rows=rows, exponent_rel=exponent_rel, exponent_abs=exponent_abs)
-
-
-def _dense_series(series, horizon: int) -> np.ndarray:
-    if isinstance(series, np.ndarray):
-        if series.shape != (horizon,):
-            raise ValueError(f"expected a length-{horizon} vector")
-        return series.astype(np.int64)
-    out = np.zeros(horizon, dtype=np.int64)
-    for day, c in series.items():
-        if not 0 <= day < horizon:
-            raise ValueError(f"day {day} outside horizon")
-        out[day] = c
-    return out
 
 
 def write_xtilde_csv(path, empirical: RescaledCountDistribution,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fileio import atomic_writer
 from .matrix import WordDayMatrix
 
@@ -48,10 +50,12 @@ class EnsembleIndex:
 
 def build_ensembles(matrix: WordDayMatrix) -> EnsembleIndex:
     """Partition the vocabulary by exact total count."""
-    groups: dict[int, list[str]] = {}
-    for word, days in matrix.counts.items():
-        groups.setdefault(sum(days.values()), []).append(word)
-    by_k = {k: Ensemble(k=k, words=tuple(sorted(ws))) for k, ws in groups.items()}
+    totals = matrix.totals()
+    order = np.argsort(totals, kind="stable")  # words stay sorted within a class
+    ks, starts = np.unique(totals[order], return_index=True)
+    ends = np.append(starts[1:], order.size)
+    by_k = {int(k): Ensemble(k=int(k), words=tuple(matrix.words[r] for r in order[a:b]))
+            for k, a, b in zip(ks, starts, ends)}
     return EnsembleIndex(by_k=by_k, horizon=matrix.horizon)
 
 

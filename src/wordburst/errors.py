@@ -21,8 +21,9 @@ class FeedStructureError(WordburstError):
     """Raised when well-formed XML lacks the expected feed structure."""
 
 
-class CorpusFormatError(WordburstError):
-    """Raised on malformed corpus, matrix, or scan-log input files."""
+class CorpusFormatError(WordburstError, ValueError):
+    """Raised on malformed corpus, matrix, or scan-log input files, and on
+    inputs that contradict each other (a scan log for another horizon)."""
 
 
 class EmptyCorpusError(WordburstError):

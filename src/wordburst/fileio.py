@@ -3,16 +3,25 @@ from __future__ import annotations
 
 import contextlib
 import os
+import tempfile
 
 
 @contextlib.contextmanager
 def atomic_writer(path, newline="\n"):
     """Write to ``path`` via a temp file and rename, so readers never see
-    a half-written file and a failed write leaves nothing behind."""
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    a half-written file and a failed write leaves nothing behind.
+
+    Each writer gets its own temp file next to the target, so concurrent
+    writers to one path cannot clobber each other's data.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
     try:
-        with fh:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; match open()
             yield fh
         os.replace(tmp, path)
     except BaseException:

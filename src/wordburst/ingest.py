@@ -69,9 +69,9 @@ class ScanLog:
     def __post_init__(self):
         for i, d in enumerate(self.days):
             if d.day_index != i:
-                raise ValueError(f"scan log days must be contiguous from 0, got {d.day_index} at {i}")
+                raise CorpusFormatError(f"scan log days must be contiguous from 0, got {d.day_index} at {i}")
             if d.new_post_count < 0:
-                raise ValueError("new_post_count must be >= 0")
+                raise CorpusFormatError("new_post_count must be >= 0")
 
     @property
     def horizon(self) -> int:
@@ -231,13 +231,14 @@ def bin_daily(posts: list[Post], horizon: int) -> WordDayMatrix:
     A word occurring several times inside one post counts once for that
     post; two posts on the same day each containing it count twice.
     """
-    matrix = WordDayMatrix(horizon=horizon)
+    counts: dict[str, dict[int, int]] = {}
     for post in posts:
         if not 0 <= post.day_index < horizon:
             raise ValueError(f"post day {post.day_index} outside horizon [0, {horizon})")
         for word in set(tokenize(post.text)):
-            matrix.add(word, post.day_index, 1)
-    return matrix
+            days = counts.setdefault(word, {})
+            days[post.day_index] = days.get(post.day_index, 0) + 1
+    return WordDayMatrix.from_mapping(horizon, counts)
 
 
 def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMatrix, CleaningReport]:
@@ -249,7 +250,7 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     disappear.
     """
     if log.horizon != matrix.horizon:
-        raise ValueError(f"scan log horizon {log.horizon} != matrix horizon {matrix.horizon}")
+        raise CorpusFormatError(f"scan log horizon {log.horizon} != matrix horizon {matrix.horizon}")
     removed: dict[int, str] = {}
     in_gap = False
     for day in log.days:
@@ -262,12 +263,7 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     retained = [d for d in range(matrix.horizon) if d not in removed]
     if not retained:
         raise EmptyCorpusError("cleaning removed every day of the corpus")
-    day_map = {old: new for new, old in enumerate(retained)}
-    cleaned = WordDayMatrix(horizon=len(retained))
-    for word, days in matrix.counts.items():
-        kept = {day_map[d]: c for d, c in days.items() if d in day_map}
-        if kept:
-            cleaned.counts[word] = kept
+    cleaned = matrix.keep_days(retained)
     report = CleaningReport(
         removed_days=sorted(removed),
         reasons=removed,

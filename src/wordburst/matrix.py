@@ -1,8 +1,16 @@
 """The word-by-day count matrix, the central corpus summary.
 
-Sparse layout: ``counts[word][day] = number of posts containing word on
-that day``.  Stored counts are always >= 1; a word absent on a day simply
-has no entry.  Analysis code treats a built matrix as immutable.
+Columnar layout, one row per word (compressed sparse rows):
+
+* ``words``: the vocabulary, sorted; ``words[r]`` owns row ``r``;
+* ``indptr``: row ``r`` owns cells ``indptr[r]:indptr[r+1]``;
+* ``days``: the day index of each cell, ascending within a row;
+* ``counts``: the number of posts containing the word that day, >= 1.
+
+A word absent on a day has no cell, and every word has at least one.
+The matrix is frozen, arrays included.  This module is the only one that
+builds or indexes the layout; stages read it through the views below
+(totals, gaps, dense blocks) and vectorise over those.
 
 Serialized form (UTF-8, one word per line, words sorted)::
 
@@ -13,68 +21,161 @@ with days ascending within a line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+import re
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CorpusFormatError
 from .fileio import atomic_writer
 
+_CELLS_RE = re.compile(r"[^:,]+:[^:,]+(?:,[^:,]+:[^:,]+)*")
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class WordDayMatrix:
     horizon: int
-    counts: dict[str, dict[int, int]] = field(default_factory=dict)
+    words: tuple[str, ...]
+    indptr: np.ndarray
+    days: np.ndarray
+    counts: np.ndarray
 
-    def words(self):
-        return self.counts.keys()
+    def __post_init__(self):
+        for a in (self.indptr, self.days, self.counts):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_mapping(cls, horizon: int, counts: Mapping[str, Mapping[int, int]]) -> "WordDayMatrix":
+        """Build from ``{word: {day: count}}``; raises ValueError on a broken invariant."""
+        words = sorted(counts)
+        lengths = [len(counts[w]) for w in words]
+        n_cells = sum(lengths)
+        days = np.fromiter(chain.from_iterable(counts[w].keys() for w in words), np.int64, n_cells)
+        values = np.fromiter(chain.from_iterable(counts[w].values() for w in words), np.int64, n_cells)
+        order = np.lexsort((days, np.repeat(np.arange(len(words)), lengths)))  # days ascending per word
+        matrix = cls(horizon, tuple(words), _indptr(lengths), days[order], values[order])
+        matrix.validate()
+        return matrix
+
+    @classmethod
+    def from_day_vectors(cls, horizon: int, rows: Iterable[tuple[str, np.ndarray]]) -> "WordDayMatrix":
+        """Build from ``(word, length-horizon count vector)`` pairs in word
+        order; all-zero words vanish."""
+        words, days, counts = [], [], []
+        for word, x in rows:
+            nz = np.flatnonzero(x)
+            if nz.size:
+                words.append(word)
+                days.append(nz)
+                counts.append(x[nz])
+        matrix = cls(horizon, tuple(words), _indptr([d.size for d in days]),
+                     np.concatenate([np.empty(0, np.int64), *days]),
+                     np.concatenate([np.empty(0, np.int64), *counts]))
+        matrix.validate()
+        return matrix
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self.counts)
+        return len(self.words)
 
     def total(self, word: str) -> int:
         """Total occurrences of ``word`` over the whole horizon."""
-        return sum(self.counts[word].values())
+        return int(self.counts[self._cells([word])[0]].sum())
 
-    def totals(self) -> dict[str, int]:
-        return {w: sum(d.values()) for w, d in self.counts.items()}
+    def totals(self) -> np.ndarray:
+        """Total occurrences of every word, in row order."""
+        return np.add.reduceat(self.counts, self.indptr[:-1]) if self.words else np.zeros(0, np.int64)
 
-    def series(self, word: str) -> Mapping[int, int]:
-        return self.counts[word]
+    def series(self, word: str) -> dict[int, int]:
+        """``{day: count}`` of one word."""
+        cells = self._cells([word])[0]
+        return dict(zip(self.days[cells].tolist(), self.counts[cells].tolist()))
 
-    def event_days(self, word: str) -> np.ndarray:
-        """Sorted day indices on which ``word`` occurs at least once."""
-        return np.array(sorted(self.counts[word]), dtype=np.int64)
+    def gaps(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Waiting times of ``words``: (number of gaps per word, all gaps word
+        after word).  A gap is the day difference between consecutive cells
+        of one word; multiplicity within a day plays no part."""
+        cells, lengths = self._cells(words)
+        return lengths - 1, np.delete(np.diff(self.days[cells]), np.cumsum(lengths)[:-1] - 1)
 
-    def daily_counts(self, word: str) -> np.ndarray:
-        """Dense length-``horizon`` count vector for ``word`` (zeros included)."""
-        out = np.zeros(self.horizon, dtype=np.int64)
-        for day, c in self.counts[word].items():
-            out[day] = c
-        return out
+    def dense_block(self, words: Sequence[str]) -> np.ndarray:
+        """(len(words) x horizon) day counts of ``words``, zero days included."""
+        cells, lengths = self._cells(words)
+        block = np.zeros((lengths.size, self.horizon), dtype=np.int64)
+        block[np.repeat(np.arange(lengths.size), lengths), self.days[cells]] = self.counts[cells]
+        return block
 
-    def add(self, word: str, day: int, count: int = 1) -> None:
-        if not 0 <= day < self.horizon:
-            raise ValueError(f"day {day} outside horizon [0, {self.horizon})")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        days = self.counts.setdefault(word, {})
-        days[day] = days.get(day, 0) + count
+    def keep_days(self, kept: Sequence[int]) -> "WordDayMatrix":
+        """Only the cells on the ascending ``kept`` days, renumbered
+        0..len(kept)-1; words left without cells disappear."""
+        new_day = np.full(self.horizon, -1, dtype=np.int64)
+        new_day[np.asarray(kept, dtype=np.intp)] = np.arange(len(kept))
+        days = new_day[self.days]
+        keep = days >= 0
+        row_of_cell = np.repeat(np.arange(self.vocabulary_size), np.diff(self.indptr))
+        lengths = np.bincount(row_of_cell[keep], minlength=self.vocabulary_size)
+        alive = lengths > 0
+        return WordDayMatrix(len(kept), tuple(w for w, a in zip(self.words, alive) if a),
+                             _indptr(lengths[alive]), days[keep], self.counts[keep])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        for word, days in self.counts.items():
-            if not days:
-                raise ValueError(f"word {word!r} has no day entries")
-            for day, c in days.items():
-                if not 0 <= day < self.horizon:
-                    raise ValueError(f"word {word!r}: day {day} outside horizon")
-                if c < 1:
-                    raise ValueError(f"word {word!r}: count {c} < 1 on day {day}")
+        problem = self._first_problem()
+        if problem is not None:
+            raise ValueError(f"word {self.words[problem[0]]!r}: {problem[1]}")
+
+    def __eq__(self, other):
+        if not isinstance(other, WordDayMatrix):
+            return NotImplemented
+        return self.horizon == other.horizon and self.words == other.words and all(
+            np.array_equal(a, b) for a, b in zip((self.indptr, self.days, self.counts),
+                                                 (other.indptr, other.days, other.counts)))
+
+    def _first_problem(self) -> tuple[int, str] | None:
+        """(row, reason) of the first word out of order, empty row, or cell
+        out of day order, outside the horizon or with a count < 1."""
+        for r in range(1, self.vocabulary_size):
+            if self.words[r] <= self.words[r - 1]:
+                return r, "duplicate word" if self.words[r] == self.words[r - 1] else "words not sorted"
+        lengths = np.diff(self.indptr)
+        if lengths.size and lengths.min() < 1:
+            return int(np.argmin(lengths)), "no day entries"
+        # a row's first day is compared with -1, every other day with its predecessor
+        unordered = np.zeros(self.days.size, dtype=bool)
+        unordered[1:] = self.days[1:] <= self.days[:-1]
+        unordered[self.indptr[:-1]] = self.days[self.indptr[:-1]] < 0
+        bad = unordered | (self.days >= self.horizon) | (self.counts < 1)
+        if not bad.any():
+            return None
+        cell = int(np.argmax(bad))
+        row = int(np.searchsorted(self.indptr, cell, side="right")) - 1
+        if unordered[cell]:
+            return row, "days not ascending"
+        if self.days[cell] >= self.horizon:
+            return row, f"day {self.days[cell]} outside horizon"
+        return row, f"count {self.counts[cell]} < 1"
+
+    def _cells(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the cells of ``words``, word after word, and each
+        word's number of cells; KeyError for a word not in the matrix."""
+        rows = np.array([bisect_left(self.words, w) for w in words], dtype=np.intp)
+        for r, w in zip(rows.tolist(), words):
+            if r == len(self.words) or self.words[r] != w:
+                raise KeyError(w)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        out_starts = np.cumsum(lengths) - lengths
+        return np.arange(lengths.sum()) + np.repeat(starts - out_starts, lengths), lengths
+
+
+def _indptr(lengths) -> np.ndarray:
+    return np.concatenate([np.zeros(1, np.int64), np.cumsum(lengths, dtype=np.int64)])
 
 
 def merge_matrices(matrices: Iterable[WordDayMatrix]) -> WordDayMatrix:
@@ -87,25 +188,32 @@ def merge_matrices(matrices: Iterable[WordDayMatrix]) -> WordDayMatrix:
     for m in matrices:
         if m.horizon != horizon:
             raise ValueError(f"horizon mismatch: {m.horizon} != {horizon}")
-        overlap = merged.keys() & m.counts.keys()
+        overlap = merged.keys() & set(m.words)
         if overlap:
             raise ValueError(f"vocabulary overlap on merge: {sorted(overlap)[:5]}")
-        for w, days in m.counts.items():
-            merged[w] = dict(days)
-    return WordDayMatrix(horizon=horizon, counts=merged)
+        merged.update((w, m.series(w)) for w in m.words)
+    return WordDayMatrix.from_mapping(horizon, merged)
 
 
 def save_matrix(matrix: WordDayMatrix, path) -> None:
     """Write the matrix in its line-delimited form (atomic, deterministic)."""
+    indptr = matrix.indptr.tolist()
     with atomic_writer(path) as fh:
         fh.write(f"#T={matrix.horizon}\n")
-        for word in sorted(matrix.counts):
-            cells = ",".join(f"{d}:{c}" for d, c in sorted(matrix.counts[word].items()))
-            fh.write(f"{word}\t{cells}\n")
+        for word, a, b in zip(matrix.words, indptr, indptr[1:]):
+            cells = map("{}:{}".format, matrix.days[a:b].tolist(), matrix.counts[a:b].tolist())
+            fh.write(f"{word}\t{','.join(cells)}\n")
 
 
 def load_matrix(path) -> WordDayMatrix:
-    """Read a matrix written by :func:`save_matrix`."""
+    """Read a matrix written by :func:`save_matrix`.
+
+    Raises :class:`CorpusFormatError` naming an offending line.
+    """
+    words: list[str] = []
+    linenos: list[int] = []
+    indptr = [0]
+    values = array("q")  # day, count, day, count, ...
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#T="):
@@ -114,7 +222,8 @@ def load_matrix(path) -> WordDayMatrix:
             horizon = int(header[3:])
         except ValueError:
             raise CorpusFormatError(f"{path}: bad horizon in header {header!r}") from None
-        matrix = WordDayMatrix(horizon=horizon)
+        if horizon < 1:
+            raise CorpusFormatError(f"{path}: horizon {horizon} < 1")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -123,25 +232,29 @@ def load_matrix(path) -> WordDayMatrix:
                 word, cells = line.split("\t")
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: expected word<TAB>cells") from None
-            days: dict[int, int] = {}
-            prev_day = -1
-            for cell in cells.split(","):
-                try:
-                    day_s, count_s = cell.split(":")
-                    day, count = int(day_s), int(count_s)
-                except ValueError:
-                    raise CorpusFormatError(f"{path}:{lineno}: bad cell {cell!r}") from None
-                if day <= prev_day:
-                    raise CorpusFormatError(f"{path}:{lineno}: days not ascending")
-                if not 0 <= day < horizon:
-                    raise CorpusFormatError(f"{path}:{lineno}: day {day} outside horizon")
-                if count < 1:
-                    raise CorpusFormatError(f"{path}:{lineno}: count {count} < 1")
-                days[day] = count
-                prev_day = day
-            if not days:
-                raise CorpusFormatError(f"{path}:{lineno}: word with no cells")
-            if word in matrix.counts:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate word {word!r}")
-            matrix.counts[word] = days
+            try:
+                if not _CELLS_RE.fullmatch(cells):
+                    raise ValueError
+                values.extend(map(int, cells.replace(":", ",").split(",")))
+            except (ValueError, OverflowError):
+                raise CorpusFormatError(f"{path}:{lineno}: bad cell {_bad_cell(cells)!r}") from None
+            words.append(word)
+            linenos.append(lineno)
+            indptr.append(len(values) // 2)
+    pairs = np.frombuffer(values, dtype=np.int64)
+    matrix = WordDayMatrix(horizon, tuple(words), np.array(indptr), pairs[0::2].copy(), pairs[1::2].copy())
+    problem = matrix._first_problem()
+    if problem is not None:
+        raise CorpusFormatError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
     return matrix
+
+
+def _bad_cell(cells: str) -> str | None:
+    """The first cell of a line that is not two 64-bit integers joined by ':'."""
+    for cell in cells.split(","):
+        try:
+            if len(array("q", map(int, cell.split(":")))) != 2:
+                return cell
+        except (ValueError, OverflowError):
+            return cell
+    return None

@@ -131,20 +131,12 @@ def _word_name(i: int, n_words: int) -> str:
     return f"w{i:0{max(6, len(str(n_words - 1)))}d}"
 
 
-def _store_counts(matrix: WordDayMatrix, name: str, counts: np.ndarray) -> None:
-    days = np.nonzero(counts)[0]
-    if days.size:
-        matrix.counts[name] = {int(d): int(counts[d]) for d in days}
-
-
 def generate_poisson(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     """Independent Poisson day counts at the shared rate; empty words vanish."""
-    matrix = WordDayMatrix(horizon=spec.horizon)
-    for i in range(spec.n_words):
-        rng = substream(spec.seed, i, EVENT_CHANNEL)
-        counts = rng.poisson(spec.rate, spec.horizon)
-        _store_counts(matrix, _word_name(i, spec.n_words), counts)
-    return matrix
+    return WordDayMatrix.from_day_vectors(spec.horizon, (
+        (_word_name(i, spec.n_words), substream(spec.seed, i, EVENT_CHANNEL).poisson(spec.rate, spec.horizon))
+        for i in range(spec.n_words)
+    ))
 
 
 def draw_tau_c(spec: SyntheticCorpusSpec, rng: np.random.Generator) -> float:
@@ -165,13 +157,12 @@ def generate_heterogeneous(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     leaves the event streams identical to :func:`generate_poisson` at
     rate 1/tau_c under the same seed.
     """
-    matrix = WordDayMatrix(horizon=spec.horizon)
-    for i in range(spec.n_words):
+    def word(i: int) -> tuple[str, np.ndarray]:
         tau_c = draw_tau_c(spec, substream(spec.seed, i, PARAM_CHANNEL))
         rng = substream(spec.seed, i, EVENT_CHANNEL)
-        counts = rng.poisson(1.0 / tau_c, spec.horizon)
-        _store_counts(matrix, _word_name(i, spec.n_words), counts)
-    return matrix
+        return _word_name(i, spec.n_words), rng.poisson(1.0 / tau_c, spec.horizon)
+
+    return WordDayMatrix.from_day_vectors(spec.horizon, map(word, range(spec.n_words)))
 
 
 def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:
@@ -181,21 +172,16 @@ def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     past the horizon are discarded.  Several events in one day simply
     raise that day's count; downstream gap analysis sees one event-day.
     """
-    matrix = WordDayMatrix(horizon=spec.horizon)
     mean_gap = stretched.moment(1, spec.a, spec.nu)
     batch = max(16, int(spec.horizon / mean_gap * 1.25) + 8)
-    for i in range(spec.n_words):
+
+    def word(i: int) -> tuple[str, np.ndarray]:
         rng = substream(spec.seed, i, EVENT_CHANNEL)
         counts = np.zeros(spec.horizon, dtype=np.int64)
-        t = 0.0
-        alive = True
-        while alive:
-            gaps = stretched.sample(rng, batch, spec.a, spec.nu)
-            for g in gaps:
-                t += g
-                if t >= spec.horizon:
-                    alive = False
-                    break
-                counts[int(t)] += 1
-        _store_counts(matrix, _word_name(i, spec.n_words), counts)
-    return matrix
+        t = np.zeros(1)
+        while t[-1] < spec.horizon:  # cumsum adds in sequence, like a running total
+            t = np.cumsum(np.concatenate([t[-1:], stretched.sample(rng, batch, spec.a, spec.nu)]))[1:]
+            counts += np.bincount(t[t < spec.horizon].astype(np.int64), minlength=spec.horizon)
+        return _word_name(i, spec.n_words), counts
+
+    return WordDayMatrix.from_day_vectors(spec.horizon, map(word, range(spec.n_words)))

@@ -50,10 +50,9 @@ def rank_curve(matrix: WordDayMatrix) -> RankCurve:
     if matrix.vocabulary_size == 0:
         raise EmptyCorpusError("cannot rank an empty vocabulary")
     totals = matrix.totals()
-    ordered = sorted(totals.items(), key=lambda wc: (-wc[1], wc[0]))
-    words = tuple(w for w, _ in ordered)
-    counts = np.array([c for _, c in ordered], dtype=np.int64)
-    return RankCurve(ranks=np.arange(1, len(words) + 1, dtype=np.int64), counts=counts, words=words)
+    order = np.argsort(-totals, kind="stable")  # rows are in word order
+    words = tuple(matrix.words[r] for r in order)
+    return RankCurve(ranks=np.arange(1, len(words) + 1, dtype=np.int64), counts=totals[order], words=words)
 
 
 @dataclass

@@ -39,21 +39,12 @@ def waiting_times(series: Mapping[int, int], horizon: int) -> np.ndarray:
     within a day is ignored.  A word with fewer than two event-days
     yields an empty sample.
     """
-    days = sorted(d for d, c in series.items() if c >= 1)
-    if days and not (0 <= days[0] and days[-1] < horizon):
-        raise ValueError("event day outside horizon")
-    if len(days) < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.diff(np.asarray(days, dtype=np.int64))
+    return pooled_waiting_times([""], WordDayMatrix.from_mapping(horizon, {"": series}))
 
 
 def pooled_waiting_times(words: Iterable[str], matrix: WordDayMatrix) -> np.ndarray:
     """Concatenated waiting times of ``words``, in the given word order."""
-    parts = [waiting_times(matrix.series(w), matrix.horizon) for w in words]
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    return matrix.gaps(list(words))[1]
 
 
 @dataclass
@@ -107,11 +98,10 @@ def aggregate_distribution(index: EnsembleIndex, matrix: WordDayMatrix) -> Waiti
     dilute = select_dilute(index)
     if not dilute:
         raise EmptySampleError("no sparse classes to aggregate")
-    parts = [pooled_waiting_times(e.words, matrix) for e in dilute]
-    parts = [p for p in parts if p.size]
-    if not parts:
+    taus = pooled_waiting_times([w for e in dilute for w in e.words], matrix)
+    if taus.size == 0:
         raise EmptySampleError("sparse classes contain no waiting times")
-    return distribution_from_sample(np.concatenate(parts), matrix.horizon, k=None)
+    return distribution_from_sample(taus, matrix.horizon, k=None)
 
 
 @dataclass
@@ -335,30 +325,27 @@ def zeta_by_ensemble(index: EnsembleIndex, matrix: WordDayMatrix,
     resamples, one deterministic substream per class).
     """
     rows = []
-    for k in index.ks():
-        if k >= index.horizon:
+    for ens in select_dilute(index):
+        k = ens.k
+        if (k_lo is not None and k < k_lo) or (k_hi is not None and k > k_hi):
             continue
-        if k_lo is not None and k < k_lo:
+        n, taus = matrix.gaps(ens.words)
+        if taus.size < max(min_sample, 1):
             continue
-        if k_hi is not None and k > k_hi:
-            continue
-        ens = index[k]
-        per_word = [waiting_times(matrix.series(w), matrix.horizon) for w in ens.words]
-        per_word = [p for p in per_word if p.size]
-        if not per_word:
-            continue
-        pooled = np.concatenate(per_word)
-        if pooled.size < min_sample:
-            continue
-        z = zeta(pooled)
+        z = zeta(taus)
         err = 0.0
-        if len(per_word) > 1 and n_boot > 0:
+        # per-word sufficient statistics (n, sum tau, sum tau^2) of the words
+        # with gaps; integer-valued sums below 2**53 are exact in float64, so
+        # a resample's ratio equals the one computed from its concatenated gaps
+        word = np.repeat(np.arange(n.size), n)
+        sums = np.stack([n, np.bincount(word, taus, n.size), np.bincount(word, taus**2, n.size)])[:, n > 0]
+        n_words = sums.shape[1]
+        if n_words > 1 and n_boot > 0:
             rng = substream(seed, k)
             zs = np.empty(n_boot)
             for b in range(n_boot):
-                pick = rng.integers(0, len(per_word), size=len(per_word))
-                boot = np.concatenate([per_word[i] for i in pick])
-                zs[b] = np.mean(boot.astype(float) ** 2) / np.mean(boot) ** 2 if boot.size >= 2 else np.nan
+                count, s1, s2 = sums[:, rng.integers(0, n_words, size=n_words)].sum(axis=1)
+                zs[b] = (s2 / count) / (s1 / count) ** 2 if count >= 2 else np.nan
             err = float(np.nanstd(zs))
         rows.append(ZetaRow(k=k, zeta=z.zeta, zeta_err=err, n_k=ens.n_k, sample_count=z.sample_count))
     return rows

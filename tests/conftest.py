@@ -5,7 +5,7 @@ from wordburst.matrix import WordDayMatrix
 
 
 def build_matrix(counts: dict[str, dict[int, int]], horizon: int) -> WordDayMatrix:
-    m = WordDayMatrix(horizon=horizon, counts={w: dict(d) for w, d in counts.items()})
+    m = WordDayMatrix.from_mapping(horizon, counts)
     m.validate()
     return m
 
@@ -13,14 +13,14 @@ def build_matrix(counts: dict[str, dict[int, int]], horizon: int) -> WordDayMatr
 def burst_matrix(ks, horizon, n_days, seed, name_prefix="bursty") -> WordDayMatrix:
     """Words whose events all land inside ``n_days`` randomly chosen days."""
     rng = np.random.default_rng(seed)
-    m = WordDayMatrix(horizon=horizon)
+    words = {}
     for i, k in enumerate(ks):
         days = rng.choice(horizon, size=n_days, replace=False)
         counts = rng.multinomial(k, np.full(n_days, 1.0 / n_days))
-        m.counts[f"{name_prefix}{i:05d}"] = {
+        words[f"{name_prefix}{i:05d}"] = {
             int(d): int(c) for d, c in zip(days, counts) if c > 0
         }
-    return m
+    return WordDayMatrix.from_mapping(horizon, words)
 
 
 @pytest.fixture

@@ -216,7 +216,7 @@ def test_criterion_08_dense_null_standardization():
              for i, k in enumerate(ks)]
     m = merge_matrices(parts)
     values = []
-    for w in sorted(m.words()):
+    for w in sorted(m.words):
         xt = rescaled_values(m.series(w), m.total(w), HORIZON)
         if xt is not None:
             values.append(xt)
@@ -228,7 +228,7 @@ def test_criterion_08_dense_null_standardization():
     bvar = np.sum(binned.bin_centers**2 * binned.density * widths) - bmean**2
 
     null = poisson_null_ensemble(1000, HORIZON, 500, seed=108)
-    xs = np.concatenate([null.daily_counts(w) for w in sorted(null.words())])
+    xs = null.dense_block(sorted(null.words)).ravel()
     law = stats.binom(1000, 1 / HORIZON)
     observed = np.bincount(xs)
     cells_obs, cells_exp = [], []
@@ -331,14 +331,14 @@ def test_criterion_11_invariant_suite():
                                seed=1111, rate=0.2)
     m = generate(spec)
     index = build_ensembles(m)
-    mass_ok = sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words())
+    mass_ok = sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words)
 
     # cleaning idempotence
     base = build_matrix({"w": {d: 1 for d in range(40)}, "v": {3: 2, 17: 1}}, horizon=40)
     log = ScanLog([ScanDay(d, d % 11 != 5) for d in range(40)])
     once, _ = clean_missing_scans(base, log)
     again, rep = clean_missing_scans(once, ScanLog.all_scanned(once.horizon))
-    clean_ok = again.counts == once.counts and rep.removed_days == []
+    clean_ok = again == once and rep.removed_days == []
 
     dt, in_time = elapsed_ok(t0, 60.0)
     ok = norm_ok and risk_ok and zeta_ok and mass_ok and clean_ok and in_time

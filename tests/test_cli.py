@@ -55,7 +55,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--spec", str(spec), "--output", str(out)]) == EXIT_OK
         m = load_matrix(out / "matrix.tsv")
-        totals = np.array([m.total(w) for w in m.words()])
+        totals = np.array([m.total(w) for w in m.words])
         assert totals.mean() == pytest.approx(42.8, rel=0.05)
 
 
@@ -75,7 +75,7 @@ class TestIngest:
         assert main(["ingest", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
         m = load_matrix(out / "matrix.tsv")
         assert m.horizon == 3
-        assert m.counts["cat"] == {0: 1, 2: 1}
+        assert m.series("cat") == {0: 1, 2: 1}
         report = json.loads((out / "cleaning_report.json").read_text(encoding="utf-8"))
         assert report["removed_days"] == []
         assert report["retained_horizon"] == 3
@@ -173,11 +173,12 @@ class TestAnalyzeDilute:
 class TestAnalyzeDense:
     def make_dense_matrix(self, tmp_path, seed=11):
         rng = np.random.default_rng(seed)
-        m = build_matrix({}, horizon=214)
+        words = {}
         for i in range(80):
             k = int(rng.integers(1000, 2001))
             counts = rng.multinomial(k, np.full(214, 1 / 214))
-            m.counts[f"w{i:04d}"] = {int(d): int(c) for d, c in enumerate(counts) if c}
+            words[f"w{i:04d}"] = {int(d): int(c) for d, c in enumerate(counts) if c}
+        m = build_matrix(words, horizon=214)
         path = tmp_path / "dense.tsv"
         save_matrix(m, path)
         return path
@@ -222,3 +223,73 @@ class TestExitCodes:
         code = main(["analyze", "--input", str(tmp_path / "nope.tsv"), "--mode", "rank",
                      "--output", str(tmp_path / "out")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("case, expected", [
+        ("scan-log-not-contiguous", EXIT_DATA),
+        ("scan-log-other-horizon", EXIT_DATA),
+        ("k-range-inverted", EXIT_USAGE),
+        ("input-is-directory", EXIT_DATA),
+        ("matrix-horizon-zero", EXIT_DATA),
+        ("matrix-not-utf8", EXIT_DATA),
+    ])
+    def test_bad_input_gives_one_line_and_exit_code(self, tmp_path, capsys, case, expected):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("2005-02-11\tf\tthe cat\n2005-02-12\tf\tthe hat\n", encoding="utf-8")
+        log = tmp_path / "scans.json"
+        matrix = tmp_path / "m.tsv"
+        save_matrix(build_matrix({"w": {0: 1, 2: 1}}, horizon=3), matrix)
+        argv = ["analyze", "--input", str(matrix), "--mode", "dilute"]
+        if case.startswith("scan-log"):
+            days = [0, 2] if case == "scan-log-not-contiguous" else [0, 1, 2]
+            log.write_text(json.dumps({"days": [{"day_index": d, "scan_performed": True} for d in days]}),
+                           encoding="utf-8")
+            argv = ["ingest", "--input", str(corpus), "--scan-log", str(log)]
+        elif case == "k-range-inverted":
+            argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-min", "5", "--k-max", "2"]
+        elif case == "input-is-directory":
+            argv[2] = str(tmp_path)
+        elif case == "matrix-horizon-zero":
+            matrix.write_text("#T=0\n", encoding="utf-8")
+        else:
+            matrix.write_bytes(b"#T=3\n\xff\xfe\t0:1\n")
+        assert main(argv + ["--output", str(tmp_path / "out")]) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("wordburst: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestOutputDirectory:
+    def test_reused_directory_keeps_no_stale_outputs(self, tmp_path):
+        spec = write_spec(tmp_path, process="heterogeneous-poisson", horizon=60, n_words=400, rate=None,
+                          rate_distribution="log-uniform", tau_min=0.05, tau_max=300.0)
+        assert main(["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")]) == EXIT_OK
+        path = tmp_path / "sim" / "matrix.tsv"
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--mode", "dense", "--k-min", "100", "--k-max", "1500",
+                     "--emit-plots", "--output", str(out)]) == EXIT_OK
+        assert (out / "sigma_scaling.csv").exists() and (out / "plot_xtilde.csv").exists()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["analyze", "--input", str(path), "--mode", "rank", "--output", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json", "notes.txt"])
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+
+    def test_inputs_listed_by_the_previous_manifest_survive(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(write_spec(tmp_path)), "--output", str(sim)]) == EXIT_OK
+        assert main(["analyze", "--input", str(sim / "matrix.tsv"), "--mode", "rank",
+                     "--output", str(sim)]) == EXIT_OK
+        assert (sim / "matrix.tsv").exists() and (sim / "rank.csv").exists()
+        assert not (sim / "spec.json").exists()
+
+    def test_manifest_cannot_delete_outside_the_directory(self, tmp_path):
+        outside = tmp_path / "precious.txt"
+        outside.write_text("precious", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"outputs": ["../precious.txt", str(outside)]}),
+                                           encoding="utf-8")
+        save_matrix(build_matrix({"w": {0: 1}}, horizon=2), tmp_path / "m.tsv")
+        assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "rank",
+                     "--output", str(out)]) == EXIT_OK
+        assert outside.read_text(encoding="utf-8") == "precious"

@@ -46,7 +46,7 @@ class TestDailyCountDistribution:
         target = np.sqrt(k / horizon * (1 - 1 / horizon))
         assert target == pytest.approx(2.156, abs=1e-3)
         m = poisson_null_ensemble(k, horizon, 400, seed=9)
-        stds = [daily_count_distribution(m.series(w), k, horizon).std for w in m.words()]
+        stds = [daily_count_distribution(m.series(w), k, horizon).std for w in m.words]
         assert np.mean(stds) == pytest.approx(target, rel=0.01)
 
 
@@ -92,6 +92,20 @@ class TestRescaledPooling:
         pooled = pool_rescaled(m, 900, 1100)
         assert pooled.clipped_count > 0
 
+    def test_long_horizon_pools_in_bounded_blocks(self):
+        import tracemalloc
+
+        horizon = 500_000
+        m = build_matrix({f"w{i:02d}": {i: 400, horizon - 1 - i: 600} for i in range(20)}, horizon=horizon)
+        tracemalloc.start()
+        try:
+            pooled = pool_rescaled(m, 1000, 1100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pooled.word_count == 20
+        assert peak < 60 * 2**20  # one 20 x 500k block of floats alone would be 80 MB
+
     def test_empty_range(self):
         m = build_matrix({"w": {0: 3}}, horizon=5)
         pooled = pool_rescaled(m, 1000, 2000)
@@ -102,24 +116,24 @@ class TestRescaledPooling:
 class TestPoissonNullEnsemble:
     def test_single_event_lands_once(self):
         m = poisson_null_ensemble(1, 214, 50, seed=3)
-        for w in m.words():
+        for w in m.words:
             assert sum(m.series(w).values()) == 1
 
     def test_exact_totals(self):
         m = poisson_null_ensemble(1000, 214, 30, seed=4)
-        assert all(m.total(w) == 1000 for w in m.words())
+        assert all(m.total(w) == 1000 for w in m.words)
 
     def test_reproducible_bit_for_bit(self):
         a = poisson_null_ensemble(500, 214, 40, seed=77)
         b = poisson_null_ensemble(500, 214, 40, seed=77)
-        assert a.counts == b.counts
+        assert a == b
         c = poisson_null_ensemble(500, 214, 40, seed=78)
-        assert a.counts != c.counts
+        assert a != c
 
     def test_day_counts_match_binomial_oracle(self):
         k, horizon, n_words = 1000, 214, 500
         m = poisson_null_ensemble(k, horizon, n_words, seed=5)
-        xs = np.concatenate([m.daily_counts(w) for w in sorted(m.words())])
+        xs = m.dense_block(sorted(m.words)).ravel()
         observed = np.bincount(xs)
         law = stats.binom(k, 1 / horizon)
         # group cells so every expected count is >= 5
@@ -148,7 +162,7 @@ class TestMatchedNull:
     def test_same_total_multiset(self):
         bursty = burst_matrix([1000, 1500, 1700], 214, n_days=10, seed=6)
         null = matched_poisson_null(bursty, 1000, 2000, seed=6)
-        assert sorted(null.total(w) for w in null.words()) == [1000, 1500, 1700]
+        assert sorted(null.total(w) for w in null.words) == [1000, 1500, 1700]
         assert null.vocabulary_size == 3
 
 

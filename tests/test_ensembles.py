@@ -30,7 +30,7 @@ def test_single_use_words_form_the_k1_class():
 def test_partition_conserves_mass(tiny_matrix):
     index = build_ensembles(tiny_matrix)
     assert sum(k * index[k].n_k for k in index.ks()) == sum(
-        tiny_matrix.total(w) for w in tiny_matrix.words()
+        tiny_matrix.total(w) for w in tiny_matrix.words
     )
     assert index.vocabulary_size == tiny_matrix.vocabulary_size
 

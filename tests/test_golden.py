@@ -15,14 +15,19 @@ from pathlib import Path
 
 from wordburst.cli import EXIT_OK, main
 
-SPEC = {
-    "process": "heterogeneous-poisson", "horizon": 60, "n_words": 400, "seed": 3,
-    "rate_distribution": "log-uniform", "tau_min": 0.05, "tau_max": 300.0,
+SPECS = {
+    "spec.json": {"process": "heterogeneous-poisson", "horizon": 60, "n_words": 400, "seed": 3,
+                  "rate_distribution": "log-uniform", "tau_min": 0.05, "tau_max": 300.0},
+    "poisson.json": {"process": "poisson", "horizon": 40, "n_words": 200, "seed": 5, "rate": 0.3},
+    "stretched.json": {"process": "stretched-renewal", "horizon": 80, "n_words": 200, "seed": 6,
+                       "a": 0.1, "nu": 0.5},
 }
 MISSED_DAYS = (5, 6, 17)
 
 COMMANDS = (
     ["simulate", "--spec", "spec.json", "--output", "sim"],
+    ["simulate", "--spec", "poisson.json", "--output", "sim-poisson"],
+    ["simulate", "--spec", "stretched.json", "--output", "sim-stretched"],
     ["ingest", "--input", "corpus.txt", "--scan-log", "scans.json", "--output", "ing"],
     ["analyze", "--input", "sim/matrix.tsv", "--mode", "rank", "--emit-plots", "--output", "rank"],
     ["analyze", "--input", "ing/matrix.tsv", "--mode", "rank", "--output", "ing-rank"],
@@ -71,11 +76,18 @@ GOLDEN = {
     "sim/manifest.json": "3db89cb3108fe99280f9fc1cd4258fa603dcbe9b1d249586b57c3dcfa32db008",
     "sim/matrix.tsv": "08b71d9e15a42e830aa4d5291a13684e2878c713456e5326c230331b8d2b2535",
     "sim/spec.json": "024e16e29fc94d27115708931143c7f109e1dfd14c756da8f6b725f2e3284af0",
+    "sim-poisson/manifest.json": "cf0dd48cd13df2912be546b01b7ccbffac7ee71489bd1d541f01057114b57d53",
+    "sim-poisson/matrix.tsv": "69a1c043e765e1305806edc319f358c8d1e7b8a2533ae370ce4b59b4566d37ff",
+    "sim-poisson/spec.json": "ce3216aef41fa9185874f478a8a18f5f628f031b291f814770d5e9652d1cf60e",
+    "sim-stretched/manifest.json": "48bd1038a2cc355517ea5343882057987decd617b2f24f1e07fc8e301087769c",
+    "sim-stretched/matrix.tsv": "4f4cf3912d426d1c683e0455797d1b56f4e0abb18430a9bf12eddae4d41c34cb",
+    "sim-stretched/spec.json": "f73ed30e7921077fe4ef4f9a44a643b51f7385ba6ec5cad64e88a68cdd147faa",
 }
 
 
 def write_inputs(root: Path) -> None:
-    (root / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    for name, spec in SPECS.items():
+        (root / name).write_text(json.dumps(spec), encoding="utf-8")
     vocab = [f"word{i:03d}" for i in range(150)]
     epoch = dt.date(2005, 2, 11)
     lines = []

@@ -144,12 +144,12 @@ class TestBinDaily:
     def test_multiplicity_within_post_counts_once(self):
         posts = [Post("f", 0, "cat cat cat")]
         m = bin_daily(posts, horizon=3)
-        assert m.counts["cat"] == {0: 1}
+        assert m.series("cat") == {0: 1}
 
     def test_two_posts_same_day_count_twice(self):
         posts = [Post("f", 0, "cat here"), Post("g", 0, "a cat there")]
         m = bin_daily(posts, horizon=1)
-        assert m.counts["cat"] == {0: 2}
+        assert m.series("cat") == {0: 2}
 
     def test_empty_corpus(self):
         m = bin_daily([], horizon=5)
@@ -162,7 +162,7 @@ class TestBinDaily:
     def test_binning_conserves_distinct_word_mass(self):
         posts = [Post("f", 0, "a b a"), Post("f", 1, "b c"), Post("g", 1, "c c d")]
         m = bin_daily(posts, horizon=2)
-        total = sum(m.total(w) for w in m.words())
+        total = sum(m.total(w) for w in m.words)
         assert total == sum(len(set(tokenize(p.text))) for p in posts)
 
 
@@ -170,7 +170,7 @@ class TestCleaning:
     def test_all_scans_performed_is_identity(self, tiny_matrix):
         log = ScanLog.all_scanned(tiny_matrix.horizon)
         cleaned, report = clean_missing_scans(tiny_matrix, log)
-        assert cleaned.counts == tiny_matrix.counts
+        assert cleaned == tiny_matrix
         assert report.removed_days == []
         assert report.retained_horizon == tiny_matrix.horizon
 
@@ -183,7 +183,7 @@ class TestCleaning:
         assert report.reasons[7] == "day-after-missed-scan"
         assert cleaned.horizon == 7
         # days re-indexed contiguously: old day 8 -> new day 5
-        assert cleaned.counts["w"] == {d: 1 for d in range(7)}
+        assert cleaned.series("w") == {d: 1 for d in range(7)}
 
     def test_234_days_down_to_214(self):
         horizon = 234
@@ -199,7 +199,7 @@ class TestCleaning:
         log = ScanLog([ScanDay(d, d != 4) for d in range(10)])
         once, report = clean_missing_scans(tiny_matrix, log)
         again, report2 = clean_missing_scans(once, ScanLog.all_scanned(once.horizon))
-        assert again.counts == once.counts
+        assert again == once
         assert report2.removed_days == []
 
     def test_totals_recomputed(self):
@@ -290,7 +290,7 @@ class TestMatrixSerialization:
         save_matrix(tiny_matrix, path)
         again = load_matrix(path)
         assert again.horizon == tiny_matrix.horizon
-        assert again.counts == tiny_matrix.counts
+        assert again == tiny_matrix
 
     def test_header_and_sorted_words(self, tiny_matrix, tmp_path):
         path = tmp_path / "m.tsv"
@@ -309,6 +309,10 @@ class TestMatrixSerialization:
             "#T=5\nw\t2:1,1:1\n",      # days not ascending
             "#T=5\nw\t1:1\nw\t2:1\n",  # duplicate word
             "#T=x\n",
+            "#T=0\n",                  # empty horizon
+            "#T=5\nw\t1:1\nv\t2:1\n",  # words not sorted
+            "#T=5\nw\t1:1:1\n",       # malformed cell
+            "#T=5\nw\t1:99999999999999999999\n",  # count beyond 64 bits
         ],
     )
     def test_rejects_malformed(self, tmp_path, content):

@@ -69,7 +69,7 @@ class TestDeterminism:
     def test_identical_spec_identical_matrix(self):
         a = generate(poisson_spec())
         b = generate(poisson_spec())
-        assert a.counts == b.counts
+        assert a == b
 
     def test_serialized_output_identical(self, tmp_path):
         pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -78,21 +78,21 @@ class TestDeterminism:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_seed_changes_output(self):
-        assert generate(poisson_spec()).counts != generate(poisson_spec(seed=2)).counts
+        assert generate(poisson_spec()) != generate(poisson_spec(seed=2))
 
     def test_word_order_independent(self):
         # substreams are keyed by word index, not by generation order
         m = generate(poisson_spec(n_words=50))
         m2 = generate(poisson_spec(n_words=60))
-        shared = set(m.counts) & set(m2.counts)
+        shared = set(m.words) & set(m2.words)
         assert shared
-        assert all(m.counts[w] == m2.counts[w] for w in shared)
+        assert all(m.series(w) == m2.series(w) for w in shared)
 
 
 class TestPoisson:
     def test_mean_total_near_rate_times_horizon(self):
         m = generate_poisson(poisson_spec(n_words=10_000))
-        totals = [m.total(w) for w in m.words()]
+        totals = [m.total(w) for w in m.words]
         # absent words are exponentially unlikely at this rate
         assert len(totals) == 10_000
         assert np.mean(totals) == pytest.approx(0.2 * 214, rel=0.05)
@@ -115,7 +115,7 @@ class TestPoisson:
     def test_day_counts_pass_poisson_gof(self, rate):
         spec = poisson_spec(rate=rate, n_words=1000, seed=int(rate * 10) + 7)
         m = generate_poisson(spec)
-        xs = np.concatenate([m.daily_counts(w) for w in sorted(m.words())])
+        xs = m.dense_block(sorted(m.words)).ravel()
         zeros_of_absent = (spec.n_words - m.vocabulary_size) * spec.horizon
         observed = np.bincount(xs)
         observed[0] += zeros_of_absent
@@ -147,8 +147,8 @@ class TestHeterogeneous:
             process="heterogeneous-poisson", horizon=214, n_words=300, seed=9,
             rate_distribution="two-point", tau_values=(tau_c, tau_c), weights=(0.5, 0.5),
         ))
-        assert log_uniform.counts == plain.counts
-        assert two_point.counts == plain.counts
+        assert log_uniform == plain
+        assert two_point == plain
 
     def test_three_decade_mixture_overpopulates_tail(self):
         m = generate_heterogeneous(SyntheticCorpusSpec(
@@ -209,7 +209,7 @@ class TestStretchedRenewal:
 
     def test_events_respect_horizon(self):
         m = generate_stretched_renewal(self.spec(horizon=500, n_words=30, a=0.2))
-        for w in m.words():
+        for w in m.words:
             assert max(m.series(w)) < 500
 
 

@@ -26,10 +26,7 @@ taus_arrays = st.lists(st.integers(1, 80), min_size=2, max_size=60).map(np.array
 
 def matrices(min_words=0):
     def build(data, horizon):
-        m = WordDayMatrix(horizon=horizon)
-        for w, days in data.items():
-            m.counts[w] = dict(days)
-        return m
+        return WordDayMatrix.from_mapping(horizon, data)
 
     return st.integers(3, 30).flatmap(
         lambda horizon: st.builds(
@@ -76,7 +73,7 @@ def test_diff_scan_identities(guids):
 def test_binning_conserves_distinct_word_mass(raw):
     posts = [Post("f", day, text) for day, text in raw]
     m = bin_daily(posts, horizon=10)
-    lhs = sum(m.total(w) for w in m.words())
+    lhs = sum(m.total(w) for w in m.words)
     rhs = sum(len(set(tokenize(p.text))) for p in posts)
     assert lhs == rhs
 
@@ -84,7 +81,7 @@ def test_binning_conserves_distinct_word_mass(raw):
 @given(matrices(min_words=1))
 def test_ensemble_partition_conserves_mass(m):
     index = build_ensembles(m)
-    assert sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words())
+    assert sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words)
     seen = [w for k in index.ks() for w in index[k].words]
     assert len(seen) == len(set(seen)) == m.vocabulary_size
 
@@ -97,7 +94,7 @@ def test_cleaning_idempotent(m, flags):
     once, report = clean_missing_scans(m, log)
     assert report.retained_horizon == once.horizon
     again, report2 = clean_missing_scans(once, ScanLog.all_scanned(once.horizon))
-    assert again.counts == once.counts
+    assert again == once
     assert report2.removed_days == []
 
 
@@ -136,7 +133,7 @@ def test_rescaling_preserves_zeta(taus, k, horizon):
 
 @given(matrices(min_words=1))
 def test_waiting_times_counts(m):
-    for w in m.words():
+    for w in m.words:
         n_days = len(m.series(w))
         assert waiting_times(m.series(w), m.horizon).size == max(n_days - 1, 0)
 

@@ -59,7 +59,7 @@ class TestRankCurve:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            rank_curve(WordDayMatrix(horizon=3))
+            rank_curve(WordDayMatrix.from_mapping(3, {}))
 
 
 class TestModifiedPowerLawFit:

@@ -31,13 +31,13 @@ from conftest import build_matrix
 def bernoulli_matrix(p: float, n_words: int, horizon: int, seed: int) -> WordDayMatrix:
     """Test-local oracle corpus: each day an independent coin at rate p."""
     rng = np.random.default_rng(seed)
-    m = WordDayMatrix(horizon=horizon)
+    words = {}
     hits = rng.random((n_words, horizon)) < p
     for i in range(n_words):
         days = np.nonzero(hits[i])[0]
         if days.size:
-            m.counts[f"b{i:06d}"] = {int(d): 1 for d in days}
-    return m
+            words[f"b{i:06d}"] = {int(d): 1 for d in days}
+    return WordDayMatrix.from_mapping(horizon, words)
 
 
 class TestWaitingTimes:
@@ -121,12 +121,13 @@ class TestAggregateMixing:
         # the single exponential carrying the pooled mean
         rng = np.random.default_rng(17)
         horizon = 400
-        m = WordDayMatrix(horizon=horizon)
+        words = {}
         rates = np.exp(rng.uniform(np.log(0.01), np.log(1.0), 3000))
         for i, r in enumerate(rates):
             days = np.nonzero(rng.random(horizon) < 1 - np.exp(-r))[0]
             if days.size >= 2:
-                m.counts[f"w{i:05d}"] = {int(d): 1 for d in days}
+                words[f"w{i:05d}"] = {int(d): 1 for d in days}
+        m = WordDayMatrix.from_mapping(horizon, words)
         dist = aggregate_distribution(build_ensembles(m), m)
         taus = np.repeat(dist.support, np.round(dist.f * dist.sample_count).astype(int))
         mean = taus.mean()
@@ -304,10 +305,11 @@ class TestMeanWaitingCheck:
     def test_exact_k_class_deviation_small(self):
         rng = np.random.default_rng(40)
         horizon, k = 214, 50
-        m = WordDayMatrix(horizon=horizon)
+        words = {}
         for i in range(500):
             counts = rng.multinomial(k, np.full(horizon, 1 / horizon))
-            m.counts[f"w{i:03d}"] = {int(d): int(c) for d, c in enumerate(counts) if c}
+            words[f"w{i:03d}"] = {int(d): int(c) for d, c in enumerate(counts) if c}
+        m = WordDayMatrix.from_mapping(horizon, words)
         dist = ensemble_distribution(build_ensembles(m)[k], m)
         check = mean_waiting_check(dist)
         assert check.deviation < 0.1
