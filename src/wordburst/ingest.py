@@ -17,8 +17,12 @@ import html
 import json
 import re
 import xml.etree.ElementTree as ET
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     CorpusFormatError,
@@ -139,7 +143,10 @@ def tokenize(text: str) -> list[str]:
     Markup is removed first; anything that is not a Unicode letter or
     digit separates tokens; empty tokens are dropped.
     """
-    return [t.lower() for t in _TOKEN_RE.findall(strip_markup(text))]
+    # strip_markup without its whitespace collapse: whitespace only ever
+    # separates tokens.  Each token is lowered on its own: lowering the
+    # whole text changes some tokens ('İ' splits, 'Σ' follows its neighbours).
+    return list(map(str.lower, _TOKEN_RE.findall(html.unescape(_TAG_RE.sub(" ", text)))))
 
 
 def content_guid(title: str, description: str) -> str:
@@ -231,14 +238,31 @@ def bin_daily(posts: list[Post], horizon: int) -> WordDayMatrix:
     A word occurring several times inside one post counts once for that
     post; two posts on the same day each containing it count twice.
     """
-    counts: dict[str, dict[int, int]] = {}
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__  # a new word gets the next id
+    ids = array("q")  # the distinct words of each post, post after post
+    ends = array("q")  # where each post's words end in ids
+    days = array("q")
     for post in posts:
         if not 0 <= post.day_index < horizon:
             raise ValueError(f"post day {post.day_index} outside horizon [0, {horizon})")
-        for word in set(tokenize(post.text)):
-            days = counts.setdefault(word, {})
-            days[post.day_index] = days.get(post.day_index, 0) + 1
-    return WordDayMatrix.from_mapping(horizon, counts)
+        ids.extend(map(vocab.__getitem__, set(tokenize(post.text))))
+        ends.append(len(ids))
+        days.append(post.day_index)
+    words = sorted(vocab)
+    row = np.empty(len(words), dtype=np.int64)
+    row[np.fromiter(map(vocab.__getitem__, words), np.int64, len(words))] = np.arange(len(words))
+    codes = row[np.frombuffer(ids, dtype=np.int64)]  # row * horizon + day, one per post-word
+    del ids  # arrays of one entry per post-word set the peak memory: hold at most two
+    codes *= horizon
+    codes += np.repeat(np.frombuffer(days, dtype=np.int64), np.diff(ends, prepend=0))
+    codes.sort()
+    first = np.ones(codes.size, dtype=bool)  # first code of each run of equal codes
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    cells, counts = codes[starts], np.diff(starts, append=codes.size)
+    del codes
+    return WordDayMatrix.from_sorted_cells(horizon, words, cells // horizon, cells % horizon, counts)
 
 
 def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMatrix, CleaningReport]:

@@ -17,7 +17,8 @@ Serialized form (UTF-8, one word per line, words sorted)::
     #T=<horizon>
     word<TAB>day:count,day:count,...
 
-with days ascending within a line.
+with days ascending within a line.  Days and counts are ASCII decimal
+integers below 2^63.
 """
 from __future__ import annotations
 
@@ -33,7 +34,10 @@ import numpy as np
 from .errors import CorpusFormatError
 from .fileio import atomic_writer
 
-_CELLS_RE = re.compile(r"[^:,]+:[^:,]+(?:,[^:,]+:[^:,]+)*")
+_CELLS_RE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
+_INT64_MAX = 2**63 - 1
+_BLOCK_LINES = 4096  # matrix.tsv lines parsed per bulk call
+_BLOCK_CELLS = 1 << 16  # cells formatted per block in save_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +58,19 @@ class WordDayMatrix:
         words = sorted(counts)
         lengths = [len(counts[w]) for w in words]
         n_cells = sum(lengths)
+        rows = np.repeat(np.arange(len(words)), lengths)
         days = np.fromiter(chain.from_iterable(counts[w].keys() for w in words), np.int64, n_cells)
         values = np.fromiter(chain.from_iterable(counts[w].values() for w in words), np.int64, n_cells)
-        order = np.lexsort((days, np.repeat(np.arange(len(words)), lengths)))  # days ascending per word
-        matrix = cls(horizon, tuple(words), _indptr(lengths), days[order], values[order])
+        order = np.lexsort((days, rows))  # rows stay in place, days ascend within each
+        return cls.from_sorted_cells(horizon, words, rows, days[order], values[order])
+
+    @classmethod
+    def from_sorted_cells(cls, horizon: int, words: Sequence[str], rows: np.ndarray,
+                          days: np.ndarray, counts: np.ndarray) -> "WordDayMatrix":
+        """Build from cells ordered by (row, day): cell ``i`` holds ``counts[i]``
+        for word ``words[rows[i]]`` on ``days[i]``.  Raises ValueError on a
+        broken invariant."""
+        matrix = cls(horizon, tuple(words), np.searchsorted(rows, np.arange(len(words) + 1)), days, counts)
         matrix.validate()
         return matrix
 
@@ -197,12 +210,20 @@ def merge_matrices(matrices: Iterable[WordDayMatrix]) -> WordDayMatrix:
 
 def save_matrix(matrix: WordDayMatrix, path) -> None:
     """Write the matrix in its line-delimited form (atomic, deterministic)."""
-    indptr = matrix.indptr.tolist()
+    rows = max(1, _BLOCK_CELLS // matrix.horizon)  # per block; a row has at most horizon cells
     with atomic_writer(path) as fh:
         fh.write(f"#T={matrix.horizon}\n")
-        for word, a, b in zip(matrix.words, indptr, indptr[1:]):
-            cells = map("{}:{}".format, matrix.days[a:b].tolist(), matrix.counts[a:b].tolist())
-            fh.write(f"{word}\t{','.join(cells)}\n")
+        for start in range(0, matrix.vocabulary_size, rows):
+            indptr = matrix.indptr[start:start + rows + 1]
+            a, b = indptr[0], indptr[-1]
+            cells = np.column_stack((matrix.days[a:b], matrix.counts[a:b])).ravel().tolist()
+            bounds = (2 * (indptr - a)).tolist()
+            formats: dict[int, str] = {}  # per block, so their size stays bounded too
+            for word, lo, hi in zip(matrix.words[start:start + rows], bounds, bounds[1:]):
+                fmt = formats.get(hi - lo)
+                if fmt is None:
+                    fmt = formats[hi - lo] = "%s\t" + ",".join(["%d:%d"] * ((hi - lo) // 2)) + "\n"
+                fh.write(fmt % (word, *cells[lo:hi]))
 
 
 def load_matrix(path) -> WordDayMatrix:
@@ -212,8 +233,9 @@ def load_matrix(path) -> WordDayMatrix:
     """
     words: list[str] = []
     linenos: list[int] = []
-    indptr = [0]
-    values = array("q")  # day, count, day, count, ...
+    lengths = array("q")
+    blocks: list[np.ndarray] = []  # day, count, day, count, ... per block of lines
+    pending: list[tuple[int, str]] = []  # (line number, cells) of the block being read
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#T="):
@@ -232,29 +254,50 @@ def load_matrix(path) -> WordDayMatrix:
                 word, cells = line.split("\t")
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: expected word<TAB>cells") from None
-            try:
-                if not _CELLS_RE.fullmatch(cells):
-                    raise ValueError
-                values.extend(map(int, cells.replace(":", ",").split(",")))
-            except (ValueError, OverflowError):
-                raise CorpusFormatError(f"{path}:{lineno}: bad cell {_bad_cell(cells)!r}") from None
+            if not _CELLS_RE.fullmatch(cells):
+                raise CorpusFormatError(f"{path}:{lineno}: bad cell {_bad_cell(cells)!r}")
             words.append(word)
             linenos.append(lineno)
-            indptr.append(len(values) // 2)
-    pairs = np.frombuffer(values, dtype=np.int64)
-    matrix = WordDayMatrix(horizon, tuple(words), np.array(indptr), pairs[0::2].copy(), pairs[1::2].copy())
+            lengths.append(cells.count(",") + 1)
+            pending.append((lineno, cells))
+            if len(pending) == _BLOCK_LINES:
+                blocks.append(_parse_cells(path, pending))
+                pending = []
+    blocks.append(_parse_cells(path, pending))
+    pairs = np.concatenate(blocks)
+    del blocks
+    matrix = WordDayMatrix(horizon, tuple(words), _indptr(lengths), pairs[0::2].copy(), pairs[1::2].copy())
     problem = matrix._first_problem()
     if problem is not None:
         raise CorpusFormatError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
     return matrix
 
 
+def _parse_cells(path, lines: list[tuple[int, str]]) -> np.ndarray:
+    """day, count, day, count, ... of (line number, cells) pairs whose cells
+    matched ``_CELLS_RE``.
+
+    The bulk parser turns values of 2^63 and above into 2^63 - 1 without
+    a word, so a block holding that value is checked line by line.
+    """
+    values = np.fromstring(",".join(cells for _, cells in lines).replace(":", ","), dtype=np.int64, sep=",")
+    if (values == _INT64_MAX).any():
+        for lineno, cells in lines:
+            bad = _bad_cell(cells)
+            if bad is not None:
+                raise CorpusFormatError(f"{path}:{lineno}: bad cell {bad!r}")
+    return values
+
+
 def _bad_cell(cells: str) -> str | None:
-    """The first cell of a line that is not two 64-bit integers joined by ':'."""
+    """The first cell of a line that is not two ASCII decimal integers
+    below 2^63 joined by ':'."""
     for cell in cells.split(","):
-        try:
-            if len(array("q", map(int, cell.split(":")))) != 2:
-                return cell
-        except (ValueError, OverflowError):
+        if not _CELLS_RE.fullmatch(cell) or not all(map(_below_2_63, cell.split(":"))):
             return cell
     return None
+
+
+def _below_2_63(digits: str) -> bool:
+    digits = digits.lstrip("0")
+    return (len(digits), digits) <= (19, str(_INT64_MAX))

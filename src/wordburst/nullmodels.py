@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .seeding import EVENT_CHANNEL, PARAM_CHANNEL, substream
 
 PROCESSES = ("poisson", "heterogeneous-poisson", "stretched-renewal")
 RATE_DISTRIBUTIONS = ("log-uniform", "two-point")
+MAX_HORIZON = 10**7  # days; each generated word is a dense horizon-long vector first
+MAX_RATE = 1e18  # numpy's Poisson sampler rejects rates above about 9.2e18
+MAX_EVENTS = 1e7  # expected events of one stretched-renewal word, sampled in one batch
 
 
 @dataclass(frozen=True)
@@ -55,45 +59,44 @@ class SyntheticCorpusSpec:
         bad: list[str] = []
         if self.process not in PROCESSES:
             bad.append("process")
-        if not isinstance(self.horizon, int) or self.horizon < 2:
+        if not isinstance(self.horizon, int) or not 2 <= self.horizon <= MAX_HORIZON:
             bad.append("horizon")
         if not isinstance(self.n_words, int) or self.n_words < 1:
             bad.append("n_words")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or self.seed < 0:
             bad.append("seed")
         if self.process == "poisson":
-            if self.rate is None or not self.rate > 0:
+            if not (_real(self.rate) and 0 < self.rate <= MAX_RATE):
                 bad.append("rate")
         elif self.process == "heterogeneous-poisson":
             if self.rate_distribution not in RATE_DISTRIBUTIONS:
                 bad.append("rate_distribution")
             elif self.rate_distribution == "log-uniform":
-                if self.tau_min is None or self.tau_min <= 0:
+                if not (_real(self.tau_min) and self.tau_min >= 1 / MAX_RATE):
                     bad.append("tau_min")
-                if self.tau_max is None or (self.tau_min is not None and self.tau_max < self.tau_min):
+                if not _real(self.tau_max) or (_real(self.tau_min) and self.tau_max < self.tau_min):
                     bad.append("tau_max")
             else:
-                if (self.tau_values is None or len(self.tau_values) != 2
-                        or any(t <= 0 for t in self.tau_values)):
+                if not (_pair(self.tau_values) and all(t >= 1 / MAX_RATE for t in self.tau_values)):
                     bad.append("tau_values")
-                if (self.weights is None or len(self.weights) != 2
-                        or any(w < 0 for w in self.weights)
-                        or not math.isclose(sum(self.weights), 1.0, rel_tol=1e-9)):
+                if not (_pair(self.weights) and all(w >= 0 for w in self.weights)
+                        and math.isclose(sum(self.weights), 1.0, rel_tol=1e-9)):
                     bad.append("weights")
         elif self.process == "stretched-renewal":
-            if self.a is None or not self.a > 0:
+            if not (_real(self.a) and self.a > 0):
                 bad.append("a")
-            if self.nu is None or not 0 < self.nu <= 2:
+            if not (_real(self.nu) and 0 < self.nu <= 2):
                 bad.append("nu")
+            if not bad:
+                with np.errstate(all="ignore"):  # a tiny nu overflows both gammas into NaN
+                    events = self.horizon / stretched.moment(1, self.a, self.nu)
+                if not events <= MAX_EVENTS:
+                    bad += ["a", "nu"]
         if bad:
             raise SpecValidationError(f"invalid generator spec, offending fields: {bad}", fields=bad)
 
     def to_json(self) -> str:
         data = {k: v for k, v in asdict(self).items() if v is not None}
-        if "tau_values" in data:
-            data["tau_values"] = list(data["tau_values"])
-        if "weights" in data:
-            data["weights"] = list(data["weights"])
         return json.dumps(data, indent=2, sort_keys=True)
 
     @classmethod
@@ -112,9 +115,21 @@ class SyntheticCorpusSpec:
             raw["tau_values"] = tuple(raw["tau_values"])
         if "weights" in raw and isinstance(raw["weights"], list):
             raw["weights"] = tuple(raw["weights"])
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise SpecValidationError(f"missing spec fields: {missing}", fields=missing)
         spec = cls(**raw)
         spec.validate()
         return spec
+
+
+def _real(value) -> bool:
+    """A finite int or float, booleans excluded: what numeric fields hold."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _pair(value) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_real, value))
 
 
 def generate(spec: SyntheticCorpusSpec) -> WordDayMatrix:

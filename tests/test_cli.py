@@ -50,6 +50,39 @@ class TestSimulate:
         assert code == EXIT_DATA
         assert "rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, offending", [
+        ({"rate": "abc"}, "rate"),                    # a string where a number belongs
+        ({"rate": True}, "rate"),                     # a boolean is not a number
+        ({"rate": float("nan")}, "rate"),
+        ({"rate": 1e300}, "rate"),                    # beyond numpy's Poisson sampler
+        ({"process": "heterogeneous-poisson", "rate_distribution": "log-uniform",
+          "tau_min": "1", "tau_max": 5.0}, "tau_min"),
+        ({"process": "heterogeneous-poisson", "rate_distribution": "log-uniform",
+          "tau_min": 1.0, "tau_max": [5.0]}, "tau_max"),
+        ({"process": "heterogeneous-poisson", "rate_distribution": "two-point",
+          "tau_values": 5, "weights": [0.5, 0.5]}, "tau_values"),  # a number where a pair belongs
+        ({"process": "heterogeneous-poisson", "rate_distribution": "two-point",
+          "tau_values": [1.0, 10.0], "weights": ["a", "b"]}, "weights"),
+        ({"process": "stretched-renewal", "a": "0.1", "nu": 0.5}, "a"),
+        ({"process": "stretched-renewal", "a": 0.1, "nu": None}, "nu"),
+        ({"process": "stretched-renewal", "a": 1e12, "nu": 0.5}, "a"),  # 10^13 events per word
+        ({"seed": -1}, "seed"),
+        ({"horizon": None}, "horizon"),
+        ({"horizon": 10**30}, "horizon"),             # numpy cannot allocate the day vector
+    ])
+    def test_bad_spec_value_gives_one_line(self, tmp_path, capsys, fields, offending):
+        spec = write_spec(tmp_path, **fields)
+        assert main(["simulate", "--spec", str(spec), "--output", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("wordburst: invalid generator spec") and err.count("\n") == 1
+        assert repr(offending) in err
+
+    def test_missing_spec_fields_are_listed(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"process": "poisson", "rate": 0.1}', encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--output", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == "wordburst: missing spec fields: ['horizon', 'n_words', 'seed']\n"
+
     def test_total_histogram_centered_on_rate_times_horizon(self, tmp_path):
         spec = write_spec(tmp_path, horizon=214, n_words=10_000, rate=0.2, seed=6)
         out = tmp_path / "out"
@@ -231,6 +264,8 @@ class TestExitCodes:
         ("input-is-directory", EXIT_DATA),
         ("matrix-horizon-zero", EXIT_DATA),
         ("matrix-not-utf8", EXIT_DATA),
+        ("matrix-negative-cell", EXIT_DATA),
+        ("matrix-cell-2^63", EXIT_DATA),
     ])
     def test_bad_input_gives_one_line_and_exit_code(self, tmp_path, capsys, case, expected):
         corpus = tmp_path / "corpus.txt"
@@ -250,6 +285,10 @@ class TestExitCodes:
             argv[2] = str(tmp_path)
         elif case == "matrix-horizon-zero":
             matrix.write_text("#T=0\n", encoding="utf-8")
+        elif case == "matrix-negative-cell":
+            matrix.write_text("#T=3\nw\t0:1,2:-1\n", encoding="utf-8")
+        elif case == "matrix-cell-2^63":
+            matrix.write_text("#T=3\nw\t0:9223372036854775808\n", encoding="utf-8")
         else:
             matrix.write_bytes(b"#T=3\n\xff\xfe\t0:1\n")
         assert main(argv + ["--output", str(tmp_path / "out")]) == expected

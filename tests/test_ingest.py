@@ -1,6 +1,7 @@
 """Ingestion pipeline: feed parsing, diffing, tokenization, binning, cleaning."""
 import hashlib
 
+import numpy as np
 import pytest
 
 from wordburst.errors import (
@@ -320,6 +321,58 @@ class TestMatrixSerialization:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(CorpusFormatError):
             load_matrix(path)
+
+    @pytest.mark.parametrize("cells, bad", [
+        ("0:9223372036854775808", "0:9223372036854775808"),  # 2^63: the bulk parser would read 2^63 - 1
+        ("0:1,1:00009223372036854775808", "1:00009223372036854775808"),
+        ("0:+5", "0:+5"),
+        ("0: 5", "0: 5"),
+        ("0:1_0", "0:1_0"),
+        ("0:\u0663", "0:\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("0:1,2:-1", "2:-1"),
+        ("0:1,", ""),
+    ])
+    def test_rejects_cell_naming_its_line(self, tmp_path, cells, bad):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"#T=5\na\t0:1\nb\t{cells}\nc\t0:1\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:3: bad cell {bad!r}"
+
+    def test_rejects_2_63_in_a_later_block(self, tmp_path):
+        lines = [f"w{i:05d}\t0:1" for i in range(9000)]
+        lines[8000] = "w08000\t0:1,1:9223372036854775808"
+        path = tmp_path / "bad.tsv"
+        path.write_text("#T=5\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"bad.tsv:8002: bad cell '1:9223372036854775808'"):
+            load_matrix(path)
+
+    def test_largest_count_loads(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("#T=5\nw\t0:9223372036854775807,4:0001\n", encoding="utf-8")
+        assert load_matrix(path).series("w") == {0: 2**63 - 1, 4: 1}
+
+    @pytest.mark.parametrize("content", ["#T=5\n", "#T=5", "#T=5\n\n\n"])
+    def test_empty_matrix_loads(self, tmp_path, content):
+        path = tmp_path / "m.tsv"
+        path.write_text(content, encoding="utf-8")
+        assert load_matrix(path) == build_matrix({}, horizon=5)
+
+    @pytest.mark.parametrize("horizon", [300, 80_000])
+    def test_round_trip_across_blocks(self, tmp_path, horizon):
+        # several blocks each way; at the long horizon a save block is one row,
+        # and the row "long" alone holds more cells than a block of short rows
+        rng = np.random.default_rng(3)
+        counts = {f"w{i:05d}": {int(d): int(rng.integers(1, 2000)) for d in rng.choice(300, rng.integers(1, 40))}
+                  for i in range(6000)}
+        counts["long"] = {d: 1 + d % 7 for d in range(horizon)}
+        m = build_matrix(counts, horizon)
+        path = tmp_path / "m.tsv"
+        save_matrix(m, path)
+        expected = [f"#T={horizon}"] + [
+            w + "\t" + ",".join(f"{d}:{c}" for d, c in sorted(counts[w].items())) for w in sorted(counts)]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+        assert load_matrix(path) == m
 
     def test_content_guid_matches_manual_recipe(self):
         assert content_guid("t", "d") == hashlib.sha256(b"t\x00d").hexdigest()

@@ -1,9 +1,13 @@
 """Property tests for the structural invariants."""
+import re
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wordburst.ensembles import build_ensembles
-from wordburst.ingest import FeedItem, Post, ScanDay, ScanLog, bin_daily, clean_missing_scans, tokenize
+from wordburst.ingest import (
+    FeedItem, Post, ScanDay, ScanLog, bin_daily, clean_missing_scans, strip_markup, tokenize,
+)
 from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import ModifiedPowerLawFit
 from wordburst.waiting import (
@@ -76,6 +80,43 @@ def test_binning_conserves_distinct_word_mass(raw):
     lhs = sum(m.total(w) for w in m.words)
     rhs = sum(len(set(tokenize(p.text))) for p in posts)
     assert lhs == rhs
+
+
+# post texts mixing markup, entities, and the characters that make
+# tokenizing subtle: dotted capital I, capital sigma, underscore, digits
+_post_pieces = st.sampled_from([
+    "cat", "Cat", " ", "\n\t", "\xa0", ",", "'", "_", "snake_case", "mp3", "42", "\u0663",
+    "İstanbul", "İ", "ΟΔΟΣ", "Σ", "ΑΣ'Β", "ß", "naïve", "<b>", "</b>", "<!-- a <i> -->", "<br/>",
+    "&amp;", "&quot;", "&nbsp;", "&#931;", "&#x130;", "&lt;b&gt;", "&Sigma;", "&",
+])
+post_texts = st.lists(st.one_of(_post_pieces, st.text(max_size=4)), max_size=25).map("".join)
+
+
+def _reference_tokens(text):
+    return [t.lower() for t in re.findall(r"[^\W_]+", strip_markup(text))]
+
+
+def _reference_bin_daily(posts, horizon):
+    """Per-word, per-day post counts through a dict of dicts."""
+    counts = {}
+    for post in posts:
+        for word in set(_reference_tokens(post.text)):
+            days = counts.setdefault(word, {})
+            days[post.day_index] = days.get(post.day_index, 0) + 1
+    return WordDayMatrix.from_mapping(horizon, counts)
+
+
+@given(post_texts)
+def test_tokenize_is_findall_over_strip_markup(text):
+    assert tokenize(text) == _reference_tokens(text)
+
+
+@given(st.integers(1, 12).flatmap(lambda horizon: st.tuples(
+    st.just(horizon), st.lists(st.tuples(st.integers(0, horizon - 1), post_texts), max_size=15))))
+def test_bin_daily_matches_dict_reference(case):
+    horizon, raw = case
+    posts = [Post("f", day, text) for day, text in raw]
+    assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)
 
 
 @given(matrices(min_words=1))
