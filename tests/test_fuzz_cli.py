@@ -79,7 +79,7 @@ def _commands(d: Path) -> list[list]:
     ]
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(corpus=_damaged(_corpus), scan_log=_damaged(_scan_log), matrix=_damaged(_matrix), spec=_damaged(_spec))
 def test_arbitrary_input_bytes(corpus, scan_log, matrix, spec):
     with tempfile.TemporaryDirectory() as tmp:
