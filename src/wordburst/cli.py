@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .dense import (
 )
 from .ensembles import build_ensembles, select_dilute, write_spectrum_csv
 from .errors import EmptySampleError, FitDidNotConverge, WordburstError
-from .fileio import atomic_writer
+from .fileio import atomic_writer, write_table
 from .ingest import ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
 from .matrix import load_matrix, save_matrix
 from .nullmodels import SyntheticCorpusSpec, generate
@@ -37,6 +38,7 @@ from .rankstats import (
     fit_zipf,
     fit_zipf_mandelbrot,
     rank_curve,
+    rank_table,
     write_rank_csv,
 )
 from .waiting import (
@@ -47,6 +49,7 @@ from .waiting import (
     mean_waiting_check,
     rescale_time,
     risk_function,
+    risk_rows,
     write_distribution_csv,
     write_rescaled_csv,
     write_zeta_csv,
@@ -160,8 +163,7 @@ def _analyze_rank(matrix, outdir, args) -> list[str]:
     _write_text(outdir / "fit.json", fit_report_json(fit, zipf, zm) + "\n")
     outputs = ["rank.csv", "fit.json"]
     if args.emit_plots:
-        _write_plot(outdir / "plot_rank.csv", ["rank", "count", "fitted"],
-                    zip(curve.ranks, curve.counts, fit.predict(curve.ranks)))
+        write_table(outdir / "plot_rank.csv", *rank_table(curve, fit), plot=True)
         outputs.append("plot_rank.csv")
     return outputs
 
@@ -175,6 +177,13 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
     rescaled = []
     fits: dict[str, dict] = {}
     checks = []
+
+    def fit_record(risk) -> dict:
+        try:
+            return asdict(fit_stretched_exponential(risk))
+        except (EmptySampleError, FitDidNotConverge) as exc:
+            return {"skipped": str(exc)}
+
     for ens in selected:
         try:
             dist = ensemble_distribution(ens, matrix)
@@ -184,12 +193,7 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
         entries.append((ens.k, dist, risk))
         rescaled.append(rescale_time(risk, ens.k))
         checks.append(mean_waiting_check(dist))
-        try:
-            fit = fit_stretched_exponential(risk)
-            fits[str(ens.k)] = {"a": fit.a, "nu": fit.nu, "C": fit.C,
-                                "residual": fit.residual, "n_points": fit.n_points}
-        except (EmptySampleError, FitDidNotConverge) as exc:
-            fits[str(ens.k)] = {"skipped": str(exc)}
+        fits[str(ens.k)] = fit_record(risk)
     write_distribution_csv(outdir / "waiting.csv", entries)
     write_rescaled_csv(outdir / "rescaled.csv", rescaled)
     rows = zeta_by_ensemble(index, matrix, k_lo=args.k_min, k_hi=args.k_max, seed=args.seed)
@@ -200,21 +204,18 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
     try:
         agg = aggregate_distribution(index, matrix)
         agg_risk = risk_function(agg)
-        _write_aggregate_csv(outdir / "aggregate.csv", agg, agg_risk)
-        _write_binned_csv(outdir / "aggregate_binned.csv", agg)
+        write_table(outdir / "aggregate.csv", ["tau", "f", "R"], risk_rows(agg, agg_risk))
+        taus = np.repeat(agg.support, np.round(agg.f * agg.sample_count).astype(np.int64))
+        write_table(outdir / "aggregate_binned.csv", ["tau_lo", "tau_hi", "tau_center", "density"],
+                    zip(*log_binned_density(taus)))
         outputs += ["aggregate.csv", "aggregate_binned.csv"]
-        try:
-            fit = fit_stretched_exponential(agg_risk)
-            fits["aggregate"] = {"a": fit.a, "nu": fit.nu, "C": fit.C,
-                                 "residual": fit.residual, "n_points": fit.n_points}
-        except (EmptySampleError, FitDidNotConverge) as exc:
-            fits["aggregate"] = {"skipped": str(exc)}
+        fits["aggregate"] = fit_record(agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
     _write_text(outdir / "fits.json", json.dumps(fits, indent=2, sort_keys=True) + "\n")
     if args.emit_plots:
-        _write_plot(outdir / "plot_rescaled.csv", ["t_R", "R", "k"],
-                    ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0))
+        write_table(outdir / "plot_rescaled.csv", ["t_R", "R", "k"],
+                    ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
         outputs.append("plot_rescaled.csv")
     return sorted(outputs)
 
@@ -231,7 +232,8 @@ def _analyze_dense(matrix, outdir, args) -> list[str]:
     }
     outputs = ["xtilde.csv", "dense.json"]
     if empirical.word_count == 0:
-        print(f"wordburst: warning: no words with totals in [{k_lo}, {k_hi}]", file=sys.stderr)
+        print(f"wordburst: warning: no words with totals in [{k_lo}, {k_hi}] and nonzero daily spread;"
+              f" zero-spread words skipped: {empirical.skipped_words}", file=sys.stderr)
         null = empirical
     else:
         null_matrix = matched_poisson_null(matrix, k_lo, k_hi, args.seed)
@@ -247,8 +249,8 @@ def _analyze_dense(matrix, outdir, args) -> list[str]:
     write_xtilde_csv(outdir / "xtilde.csv", empirical, null)
     _write_text(outdir / "dense.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     if args.emit_plots:
-        _write_plot(outdir / "plot_xtilde.csv", ["xtilde", "empirical", "null"],
-                    zip(empirical.bin_centers, empirical.density, null.density))
+        write_table(outdir / "plot_xtilde.csv", ["xtilde", "empirical", "null"],
+                    zip(empirical.bin_centers, empirical.density, null.density), plot=True)
         outputs.append("plot_xtilde.csv")
     return sorted(outputs)
 
@@ -302,51 +304,8 @@ def _write_manifest(outdir: Path, command: str, config: dict, outputs: list[str]
 
 
 def _write_meancheck_csv(path, checks) -> None:
-    import csv
-
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_tau", "expected", "deviation", "sample_count", "low_sample"])
-        for c in checks:
-            writer.writerow([c.k, f"{c.mean_tau:.12g}", f"{c.expected:.12g}",
-                             f"{c.deviation:.12g}", c.sample_count, int(c.low_sample)])
-
-
-def _write_aggregate_csv(path, dist, risk) -> None:
-    import csv
-
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "f", "R"])
-        for tau, f, r in zip(dist.support, dist.f, risk.values):
-            if f > 0:
-                writer.writerow([tau, f"{f:.12g}", f"{r:.12g}"])
-
-
-def _write_binned_csv(path, dist) -> None:
-    import csv
-
-    taus = np.repeat(dist.support, np.round(dist.f * dist.sample_count).astype(np.int64))
-    lo, hi, center, density = log_binned_density(taus)
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_lo", "tau_hi", "tau_center", "density"])
-        for a, b, c, d in zip(lo, hi, center, density):
-            writer.writerow([f"{a:.12g}", f"{b:.12g}", f"{c:.12g}", f"{d:.12g}"])
-
-
-def _write_plot(path, columns, rows) -> None:
-    """Two/three-column file with a comment header, ready for plotting tools."""
-    with atomic_writer(path) as fh:
-        fh.write("# " + " ".join(columns) + "\n")
-        for row in rows:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.12g}"
+    write_table(path, ["k", "mean_tau", "expected", "deviation", "sample_count", "low_sample"],
+                ((c.k, c.mean_tau, c.expected, c.deviation, c.sample_count, int(c.low_sample)) for c in checks))
 
 
 if __name__ == "__main__":

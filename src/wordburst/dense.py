@@ -13,13 +13,12 @@ generator provides the matched independent-events reference.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import Ensemble, build_ensembles, select_dense
-from .fileio import atomic_writer
+from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substream
 
@@ -217,16 +216,10 @@ def write_xtilde_csv(path, empirical: RescaledCountDistribution,
     """Write ``xtilde,density_empirical,density_null`` on the shared grid."""
     if empirical.bin_edges.shape != null.bin_edges.shape or not np.allclose(empirical.bin_edges, null.bin_edges):
         raise ValueError("empirical and null distributions use different bins")
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xtilde", "density_empirical", "density_null"])
-        for c, de, dn in zip(empirical.bin_centers, empirical.density, null.density):
-            writer.writerow([f"{c:.12g}", f"{de:.12g}", f"{dn:.12g}"])
+    write_table(path, ["xtilde", "density_empirical", "density_null"],
+                zip(empirical.bin_centers, empirical.density, null.density))
 
 
 def write_sigma_scaling_csv(path, table: SigmaScalingTable) -> None:
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n_words", "sigma_rel", "sigma_abs"])
-        for r in table.rows:
-            writer.writerow([r.k, r.n_words, f"{r.sigma_rel:.12g}", f"{r.sigma_abs:.12g}"])
+    write_table(path, ["k", "n_words", "sigma_rel", "sigma_abs"],
+                ((r.k, r.n_words, r.sigma_rel, r.sigma_abs) for r in table.rows))

@@ -8,12 +8,11 @@ statistics apply.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_writer
+from .fileio import write_table
 from .matrix import WordDayMatrix
 
 
@@ -73,8 +72,4 @@ def select_dense(index: EnsembleIndex, k_lo: int, k_hi: int) -> list[Ensemble]:
 
 def write_spectrum_csv(index: EnsembleIndex, path) -> None:
     """Dump the class-size spectrum as ``k,n_k`` rows."""
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n_k"])
-        for k in index.ks():
-            writer.writerow([k, index.by_k[k].n_k])
+    write_table(path, ["k", "n_k"], ((k, index.by_k[k].n_k) for k in index.ks()))

@@ -1,9 +1,12 @@
-"""Atomic text-file writing shared by every emitter."""
+"""Atomic text-file writing and the output table format shared by every emitter."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import tempfile
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -28,3 +31,14 @@ def atomic_writer(path, newline="\n"):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_table(path, header, rows, plot=False) -> None:
+    """Write ``rows`` under column names ``header``: CSV in the ``csv`` module's
+    default dialect (CRLF line ends) or, with ``plot``, space separated under a
+    ``# `` header line.  Floats are written as ``%.12g``, integers exactly."""
+    with atomic_writer(path, newline="") as fh:
+        writer = csv.writer(fh, delimiter=" ", lineterminator="\n") if plot else csv.writer(fh)
+        writer.writerow(["#", *header] if plot else header)
+        for row in rows:
+            writer.writerow([str(v) if isinstance(v, (int, np.integer)) else f"{v:.12g}" for v in row])

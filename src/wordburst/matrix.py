@@ -97,11 +97,18 @@ class WordDayMatrix:
 
     def total(self, word: str) -> int:
         """Total occurrences of ``word`` over the whole horizon."""
-        return int(self.counts[self._cells([word])[0]].sum())
+        return sum(self.counts[self._cells([word])[0]].tolist())
 
     def totals(self) -> np.ndarray:
-        """Total occurrences of every word, in row order."""
-        return np.add.reduceat(self.counts, self.indptr[:-1]) if self.words else np.zeros(0, np.int64)
+        """Total occurrences of every word, in row order; raises
+        :class:`CorpusFormatError` naming a word whose total exceeds 2^63 - 1."""
+        if not self.words:
+            return np.zeros(0, np.int64)
+        if int(self.counts.max()) * int(np.diff(self.indptr).max()) > _INT64_MAX:  # int64 sums may wrap
+            over = np.add.reduceat(self.counts.astype(object), self.indptr[:-1]) > _INT64_MAX
+            if over.any():
+                raise CorpusFormatError(f"word {self.words[np.argmax(over)]!r}: total count exceeds 2^63 - 1")
+        return np.add.reduceat(self.counts, self.indptr[:-1])
 
     def series(self, word: str) -> dict[int, int]:
         """``{day: count}`` of one word."""

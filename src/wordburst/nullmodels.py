@@ -34,7 +34,7 @@ from .seeding import EVENT_CHANNEL, PARAM_CHANNEL, substream
 PROCESSES = ("poisson", "heterogeneous-poisson", "stretched-renewal")
 RATE_DISTRIBUTIONS = ("log-uniform", "two-point")
 MAX_HORIZON = 10**7  # days; each generated word is a dense horizon-long vector first
-MAX_RATE = 1e18  # numpy's Poisson sampler rejects rates above about 9.2e18
+MAX_TOTAL = 1e18  # expected events of one Poisson word, rate * horizon: its total stays below 2^63
 MAX_EVENTS = 1e7  # expected events of one stretched-renewal word, sampled in one batch
 
 
@@ -65,19 +65,20 @@ class SyntheticCorpusSpec:
             bad.append("n_words")
         if not isinstance(self.seed, int) or self.seed < 0:
             bad.append("seed")
+        max_rate = MAX_TOTAL / (1 if "horizon" in bad else self.horizon)
         if self.process == "poisson":
-            if not (_real(self.rate) and 0 < self.rate <= MAX_RATE):
+            if not (_real(self.rate) and 0 < self.rate <= max_rate):
                 bad.append("rate")
         elif self.process == "heterogeneous-poisson":
             if self.rate_distribution not in RATE_DISTRIBUTIONS:
                 bad.append("rate_distribution")
             elif self.rate_distribution == "log-uniform":
-                if not (_real(self.tau_min) and self.tau_min >= 1 / MAX_RATE):
+                if not (_real(self.tau_min) and self.tau_min >= 1 / max_rate):
                     bad.append("tau_min")
                 if not _real(self.tau_max) or (_real(self.tau_min) and self.tau_max < self.tau_min):
                     bad.append("tau_max")
             else:
-                if not (_pair(self.tau_values) and all(t >= 1 / MAX_RATE for t in self.tau_values)):
+                if not (_pair(self.tau_values) and all(t >= 1 / max_rate for t in self.tau_values)):
                     bad.append("tau_values")
                 if not (_pair(self.weights) and all(w >= 0 for w in self.weights)
                         and math.isclose(sum(self.weights), 1.0, rel_tol=1e-9)):

@@ -11,7 +11,6 @@ measurable by residual comparison alone.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict
 
@@ -19,7 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import EmptyCorpusError, FitDidNotConverge
-from .fileio import atomic_writer
+from .fileio import write_table
 from .matrix import WordDayMatrix
 
 MAX_FIT_POINTS = 500
@@ -214,21 +213,19 @@ def fit_zipf_mandelbrot(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -> B
                        a=a, nu=float(nu), residual=float(np.sqrt(best.fun / xs.size)))
 
 
+def rank_table(curve: RankCurve, fit: ModifiedPowerLawFit):
+    """Column names and ``(rank, count, fitted)`` rows of the rank curve."""
+    return ["rank", "count", "fitted"], zip(curve.ranks, curve.counts, fit.predict(curve.ranks))
+
+
 def write_rank_csv(path, curve: RankCurve, fit: ModifiedPowerLawFit) -> None:
-    fitted = fit.predict(curve.ranks)
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "count", "fitted"])
-        for r, c, f in zip(curve.ranks, curve.counts, fitted):
-            writer.writerow([r, c, f"{f:.12g}"])
+    write_table(path, *rank_table(curve, fit))
 
 
 def fit_report_json(fit: ModifiedPowerLawFit, zipf: BaselineFit, zm: BaselineFit) -> str:
     return json.dumps(
         {
-            "A": fit.A, "a1": fit.a1, "a2": fit.a2,
-            "gamma1": fit.gamma1, "gamma2": fit.gamma2,
-            "residual": fit.residual, "degenerate": fit.degenerate,
+            **fit.to_dict(),
             "baselines": {
                 "zipf": {"A": zipf.A, "lambda": zipf.lam, "residual": zipf.residual},
                 "zipf_mandelbrot": {"A": zm.A, "a": zm.a, "nu": zm.nu, "residual": zm.residual},

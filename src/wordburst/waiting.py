@@ -15,7 +15,6 @@ R(t) = P(tau >= t).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +24,7 @@ from scipy import optimize
 from . import stretched
 from .ensembles import Ensemble, EnsembleIndex, select_dilute
 from .errors import EmptySampleError, FitDidNotConverge
-from .fileio import atomic_writer
+from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substream
 
@@ -124,54 +123,43 @@ def risk_function(dist: WaitingTimeDistribution) -> RiskFunction:
 
 @dataclass
 class RescaledRiskCurve:
-    """Risk values over t_R = t * k / horizon; values unchanged."""
+    """Risk or survival values of class ``k`` over t_R = t * k / horizon."""
 
     k: int
-    horizon: int
     t_r: np.ndarray
     values: np.ndarray
 
 
-def rescale_time(risk: RiskFunction, k: int, horizon: int | None = None) -> RescaledRiskCurve:
+def rescale_time(risk: RiskFunction, k: int) -> RescaledRiskCurve:
     """Map the support t -> t * k / horizon so classes share one clock."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    horizon = risk.horizon if horizon is None else horizon
-    t_r = risk.support.astype(float) * k / horizon
-    return RescaledRiskCurve(k=k, horizon=horizon, t_r=t_r, values=risk.values.copy())
-
-
-@dataclass
-class RescaledSurvivalCurve:
-    """Exclusive survival P(tau > t) at t_R = t * k / horizon, anchored at (0, 1)."""
-
-    k: int
-    t_r: np.ndarray
-    values: np.ndarray
+    t_r = risk.support.astype(float) * k / risk.horizon
+    return RescaledRiskCurve(k=k, t_r=t_r, values=risk.values.copy())
 
 
 def rescaled_survival(dist: WaitingTimeDistribution, k: int | None = None,
-                      t_r_max: float = 3.0) -> RescaledSurvivalCurve:
-    """Rescaled right-continuous survival curve used for collapse checks."""
+                      t_r_max: float = 3.0) -> RescaledRiskCurve:
+    """Exclusive survival P(tau > t) at t_R = t * k / horizon, anchored at
+    (0, 1) and cut at ``t_r_max``: the curve used for collapse checks."""
     k = dist.k if k is None else k
-    if k is None or k < 1:
+    if k is None:
         raise ValueError("a positive k is required to rescale")
+    curve = rescale_time(risk_function(dist), k)
     scale = k / dist.horizon
     t_max = min(int(np.floor(t_r_max / scale)), dist.horizon - 2)
-    risk = risk_function(dist).values
-    ts = np.arange(0, t_max + 1)
-    values = np.empty(ts.size)
-    values[0] = 1.0
-    values[1:] = risk[ts[1:]]  # risk[t] = R(t+1) = P(tau > t)
-    return RescaledSurvivalCurve(k=k, t_r=ts * scale, values=values)
+    # values[t] = R(t+1) = P(tau > t) belongs at t_R of day t, which is t_r[t-1]
+    curve.t_r = np.concatenate([[0.0], curve.t_r[:t_max]])
+    curve.values = np.concatenate([[1.0], curve.values[1:t_max + 1]])
+    return curve
 
 
-def max_exponential_deviation(curve: RescaledSurvivalCurve) -> float:
+def max_exponential_deviation(curve: RescaledRiskCurve) -> float:
     """Sup distance between the curve and exp(-t_R) at its support points."""
     return float(np.max(np.abs(curve.values - np.exp(-curve.t_r))))
 
 
-def max_pairwise_deviation(curves: Sequence[RescaledSurvivalCurve],
+def max_pairwise_deviation(curves: Sequence[RescaledRiskCurve],
                            t_r_max: float = 3.0, step: float = 0.05) -> float:
     """Largest sup distance between any two curves on a common t_R grid.
 
@@ -372,31 +360,21 @@ def log_binned_density(taus: np.ndarray, factor: float = 1.25) -> tuple[np.ndarr
     return edges[:-1][keep], edges[1:][keep], centers[keep], density[keep]
 
 
-def write_distribution_csv(path, entries: list[tuple[int | None, WaitingTimeDistribution, RiskFunction]]) -> None:
+def risk_rows(dist: WaitingTimeDistribution, risk: RiskFunction):
+    """``(tau, f, R)`` for every tau with nonzero probability."""
+    return ((tau, f, r) for tau, f, r in zip(dist.support, dist.f, risk.values) if f > 0)
+
+
+def write_distribution_csv(path, entries: list[tuple[int, WaitingTimeDistribution, RiskFunction]]) -> None:
     """Write ``k,tau,f,R`` rows (tau rows with zero probability omitted)."""
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "tau", "f", "R"])
-        for k, dist, risk in entries:
-            label = "" if k is None else k
-            for tau, f, r in zip(dist.support, dist.f, risk.values):
-                if f > 0:
-                    writer.writerow([label, tau, f"{f:.12g}", f"{r:.12g}"])
+    write_table(path, ["k", "tau", "f", "R"],
+                ((k, *row) for k, dist, risk in entries for row in risk_rows(dist, risk)))
 
 
 def write_zeta_csv(path, rows: list[ZetaRow]) -> None:
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "zeta", "zeta_err", "n_k"])
-        for row in rows:
-            writer.writerow([row.k, f"{row.zeta:.12g}", f"{row.zeta_err:.12g}", row.n_k])
+    write_table(path, ["k", "zeta", "zeta_err", "n_k"], ((r.k, r.zeta, r.zeta_err, r.n_k) for r in rows))
 
 
 def write_rescaled_csv(path, curves: list[RescaledRiskCurve]) -> None:
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t_R", "R"])
-        for c in curves:
-            for t_r, v in zip(c.t_r, c.values):
-                if v > 0:
-                    writer.writerow([c.k, f"{t_r:.12g}", f"{v:.12g}"])
+    write_table(path, ["k", "t_R", "R"],
+                ((c.k, t_r, v) for c in curves for t_r, v in zip(c.t_r, c.values) if v > 0))

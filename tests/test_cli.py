@@ -1,6 +1,8 @@
 """End-to-end command-line pipelines and exit codes."""
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,11 @@ class TestSimulate:
         ({"seed": -1}, "seed"),
         ({"horizon": None}, "horizon"),
         ({"horizon": 10**30}, "horizon"),             # numpy cannot allocate the day vector
+        ({"rate": 1e17}, "rate"),                     # a word total of 4e19 would not fit in int64
+        ({"process": "heterogeneous-poisson", "rate_distribution": "log-uniform",
+          "tau_min": 1e-17, "tau_max": 5.0}, "tau_min"),
+        ({"process": "heterogeneous-poisson", "rate_distribution": "two-point",
+          "tau_values": [1e-17, 10.0], "weights": [0.5, 0.5]}, "tau_values"),
     ])
     def test_bad_spec_value_gives_one_line(self, tmp_path, capsys, fields, offending):
         spec = write_spec(tmp_path, **fields)
@@ -238,6 +245,15 @@ class TestAnalyzeDense:
         rows = read_csv(out / "xtilde.csv")
         assert all(float(r["density_empirical"]) == 0 for r in rows)
 
+    def test_warning_counts_zero_spread_words(self, tmp_path, capsys):
+        # the only word in [1000, 2000] has the same count every day
+        save_matrix(build_matrix({"a": {d: 150 for d in range(10)}}, horizon=10), tmp_path / "m.tsv")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "dense", "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ("wordburst: warning: no words with totals in [1000, 2000] and nonzero"
+                                           " daily spread; zero-spread words skipped: 1\n")
+        assert json.loads((out / "dense.json").read_text(encoding="utf-8"))["skipped_words"] == 1
+
     def test_emit_plots(self, tmp_path):
         path = self.make_dense_matrix(tmp_path, seed=12)
         out = tmp_path / "out"
@@ -248,6 +264,15 @@ class TestAnalyzeDense:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("mode", ["rank", "dilute", "dense"])
+    def test_word_total_past_2_63_is_data_error(self, tmp_path, capsys, mode):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("#T=5\nv\t1:2\nw\t0:9223372036854775807,4:1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(matrix), "--mode", mode, "--output", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "wordburst: word 'w': total count exceeds 2^63 - 1\n"
+        assert not (out / "manifest.json").exists()
+
     def test_usage_error_is_one(self, capsys):
         assert main(["analyze", "--mode", "nonsense"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -332,3 +357,16 @@ class TestOutputDirectory:
         assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "rank",
                      "--output", str(out)]) == EXIT_OK
         assert outside.read_text(encoding="utf-8") == "precious"
+
+
+def test_every_traced_stage_is_a_cli_function():
+    """The benchmark's tracer wraps these names in ``wordburst.cli``; a stage
+    the CLI stops importing would silently drop out of its spans."""
+    spec = importlib.util.spec_from_file_location(
+        "trace_cmd", Path(__file__).resolve().parents[1] / "perfbench" / "trace_cmd.py")
+    trace_cmd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cmd)
+    import wordburst.cli as cli
+
+    assert [name for name in trace_cmd.SPAN_NAMES if not callable(getattr(cli, name, None))] == []
+    assert any(trace_cmd.WRITER.match(name) and callable(value) for name, value in vars(cli).items())

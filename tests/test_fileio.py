@@ -2,9 +2,10 @@
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from wordburst.fileio import atomic_writer
+from wordburst.fileio import atomic_writer, write_table
 
 
 def test_successful_write_replaces_target(tmp_path):
@@ -48,3 +49,13 @@ def test_file_mode_is_what_open_gives(tmp_path):
     finally:
         os.umask(umask)
     assert stat.S_IMODE(os.stat(tmp_path / "out.csv").st_mode) == stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode)
+
+
+def test_table_formats(tmp_path):
+    rows = [(10**15, 0.1, np.float64(0.1)), (np.int64(2**63 - 1), 1 / 3, np.float64(1 / 3))]
+    write_table(tmp_path / "t.csv", ["a", "b", "c"], rows)
+    write_table(tmp_path / "p.csv", ["a", "b", "c"], rows, plot=True)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"a,b,c\r\n1000000000000000,0.1,0.1\r\n9223372036854775807,0.333333333333,0.333333333333\r\n")
+    assert (tmp_path / "p.csv").read_bytes() == (
+        b"# a b c\n1000000000000000 0.1 0.1\n9223372036854775807 0.333333333333 0.333333333333\n")
