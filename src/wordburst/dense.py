@@ -20,7 +20,7 @@ import numpy as np
 from .ensembles import Ensemble, build_ensembles, select_dense
 from .fileio import write_table
 from .matrix import WordDayMatrix
-from .seeding import substream
+from .seeding import substreams
 
 BLOCK_CELLS = 1 << 19  # day counts per dense block (4 MB of int64), whatever the horizon
 
@@ -161,7 +161,7 @@ def _box_allocation(names: list[str], ks: list[int], horizon: int, seed: int) ->
     drawing from substream ``i``."""
     p = np.full(horizon, 1.0 / horizon)
     return WordDayMatrix.from_day_vectors(horizon, (
-        (name, substream(seed, i).multinomial(k, p)) for i, (name, k) in enumerate(zip(names, ks))
+        (name, rng.multinomial(k, p)) for name, k, rng in zip(names, ks, substreams(seed, len(names)))
     ))
 
 

@@ -23,13 +23,14 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import stretched
 from .errors import SpecValidationError
 from .matrix import WordDayMatrix
-from .seeding import EVENT_CHANNEL, PARAM_CHANNEL, substream
+from .seeding import EVENT_CHANNEL, MAX_INDEX, PARAM_CHANNEL, substreams
 
 PROCESSES = ("poisson", "heterogeneous-poisson", "stretched-renewal")
 RATE_DISTRIBUTIONS = ("log-uniform", "two-point")
@@ -61,7 +62,7 @@ class SyntheticCorpusSpec:
             bad.append("process")
         if not isinstance(self.horizon, int) or not 2 <= self.horizon <= MAX_HORIZON:
             bad.append("horizon")
-        if not isinstance(self.n_words, int) or self.n_words < 1:
+        if not isinstance(self.n_words, int) or not 1 <= self.n_words <= MAX_INDEX + 1:
             bad.append("n_words")
         if not isinstance(self.seed, int) or self.seed < 0:
             bad.append("seed")
@@ -143,27 +144,27 @@ def generate(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     return generate_stretched_renewal(spec)
 
 
-def _word_name(i: int, n_words: int) -> str:
-    return f"w{i:0{max(6, len(str(n_words - 1)))}d}"
+def _corpus(spec: SyntheticCorpusSpec, day_vectors: Iterable[np.ndarray]) -> WordDayMatrix:
+    """Word ``w<i>`` gets the i-th day-count vector; all-zero words vanish."""
+    width = max(6, len(str(spec.n_words - 1)))
+    return WordDayMatrix.from_day_vectors(spec.horizon, ((f"w{i:0{width}d}", x) for i, x in enumerate(day_vectors)))
 
 
 def generate_poisson(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     """Independent Poisson day counts at the shared rate; empty words vanish."""
-    return WordDayMatrix.from_day_vectors(spec.horizon, (
-        (_word_name(i, spec.n_words), substream(spec.seed, i, EVENT_CHANNEL).poisson(spec.rate, spec.horizon))
-        for i in range(spec.n_words)
-    ))
+    events = substreams(spec.seed, spec.n_words, EVENT_CHANNEL)
+    return _corpus(spec, (rng.poisson(spec.rate, spec.horizon) for rng in events))
 
 
-def draw_tau_c(spec: SyntheticCorpusSpec, rng: np.random.Generator) -> float:
+def tau_c_law(spec: SyntheticCorpusSpec) -> Callable[[np.random.Generator], float]:
+    """The spec's tau_c law as a draw from a word's parameter stream."""
     if spec.rate_distribution == "log-uniform":
         if spec.tau_min == spec.tau_max:
-            return float(spec.tau_min)
-        return float(np.exp(rng.uniform(np.log(spec.tau_min), np.log(spec.tau_max))))
-    values = np.asarray(spec.tau_values, dtype=float)
-    if values[0] == values[1]:
-        return float(values[0])
-    return float(values[rng.choice(2, p=np.asarray(spec.weights, dtype=float))])
+            return lambda rng: float(spec.tau_min)
+        lo, hi = np.log(spec.tau_min), np.log(spec.tau_max)
+        return lambda rng: float(np.exp(rng.uniform(lo, hi)))
+    values, weights = np.asarray(spec.tau_values, dtype=float), np.asarray(spec.weights, dtype=float)
+    return lambda rng: float(values[rng.choice(2, p=weights)])
 
 
 def generate_heterogeneous(spec: SyntheticCorpusSpec) -> WordDayMatrix:
@@ -173,12 +174,10 @@ def generate_heterogeneous(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     leaves the event streams identical to :func:`generate_poisson` at
     rate 1/tau_c under the same seed.
     """
-    def word(i: int) -> tuple[str, np.ndarray]:
-        tau_c = draw_tau_c(spec, substream(spec.seed, i, PARAM_CHANNEL))
-        rng = substream(spec.seed, i, EVENT_CHANNEL)
-        return _word_name(i, spec.n_words), rng.poisson(1.0 / tau_c, spec.horizon)
-
-    return WordDayMatrix.from_day_vectors(spec.horizon, map(word, range(spec.n_words)))
+    draw_tau_c = tau_c_law(spec)
+    params = substreams(spec.seed, spec.n_words, PARAM_CHANNEL)
+    events = substreams(spec.seed, spec.n_words, EVENT_CHANNEL)
+    return _corpus(spec, (rng.poisson(1.0 / draw_tau_c(p), spec.horizon) for p, rng in zip(params, events)))
 
 
 def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:
@@ -191,13 +190,12 @@ def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     mean_gap = stretched.moment(1, spec.a, spec.nu)
     batch = max(16, int(spec.horizon / mean_gap * 1.25) + 8)
 
-    def word(i: int) -> tuple[str, np.ndarray]:
-        rng = substream(spec.seed, i, EVENT_CHANNEL)
+    def day_counts(rng: np.random.Generator) -> np.ndarray:
         counts = np.zeros(spec.horizon, dtype=np.int64)
         t = np.zeros(1)
         while t[-1] < spec.horizon:  # cumsum adds in sequence, like a running total
             t = np.cumsum(np.concatenate([t[-1:], stretched.sample(rng, batch, spec.a, spec.nu)]))[1:]
             counts += np.bincount(t[t < spec.horizon].astype(np.int64), minlength=spec.horizon)
-        return _word_name(i, spec.n_words), counts
+        return counts
 
-    return WordDayMatrix.from_day_vectors(spec.horizon, map(word, range(spec.n_words)))
+    return _corpus(spec, map(day_counts, substreams(spec.seed, spec.n_words, EVENT_CHANNEL)))

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import optimize
 
 from .errors import EmptyCorpusError, FitDidNotConverge
 from .fileio import write_table
@@ -110,6 +109,7 @@ def fit_modified_power_law(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -
     coefficient.  Curves too small or flat to constrain the model come
     back flagged degenerate instead of raising.
     """
+    from scipy import optimize
     x_all = curve.ranks.astype(float)
     y_all = curve.counts.astype(float)
     idx = _subsample(x_all.size, max_points)
@@ -183,6 +183,7 @@ def fit_zipf(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -> BaselineFit:
 
 def fit_zipf_mandelbrot(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -> BaselineFit:
     """Shifted power law count = A / (1 + a*x)**nu, amplitude profiled."""
+    from scipy import optimize
     idx = _subsample(curve.ranks.size, max_points)
     xs = curve.ranks[idx].astype(float)
     log_y = np.log(curve.counts[idx].astype(float))

@@ -20,11 +20,11 @@ exponential with mean 1/a.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 
 def normalization(a: float, nu: float) -> float:
     """Constant C making the density integrate to one."""
+    from scipy import special
     _check(a, nu)
     return a * nu / special.gamma(1.0 / nu)
 
@@ -38,6 +38,7 @@ def pdf(tau, a: float, nu: float):
 
 def survival(t, a: float, nu: float):
     """P(tau > t) for the continuous law."""
+    from scipy import special
     _check(a, nu)
     t = np.asarray(t, dtype=float)
     return special.gammaincc(1.0 / nu, np.power(a * t, nu))
@@ -45,6 +46,7 @@ def survival(t, a: float, nu: float):
 
 def quantile(q, a: float, nu: float):
     """Inverse of the survival function: t such that S(t) = q."""
+    from scipy import special
     _check(a, nu)
     q = np.asarray(q, dtype=float)
     return np.power(special.gammainccinv(1.0 / nu, q), 1.0 / nu) / a
@@ -52,17 +54,14 @@ def quantile(q, a: float, nu: float):
 
 def moment(m: int, a: float, nu: float) -> float:
     """Exact m-th moment of the law."""
+    from scipy import special
     _check(a, nu)
     return special.gamma((m + 1.0) / nu) / (a**m * special.gamma(1.0 / nu))
 
 
 def dispersion_ratio(nu: float) -> float:
     """<tau^2>/<tau>^2, a function of the shape alone (10/3 at nu=1/2)."""
-    _check(1.0, nu)
-    g1 = special.gamma(1.0 / nu)
-    g2 = special.gamma(2.0 / nu)
-    g3 = special.gamma(3.0 / nu)
-    return g3 * g1 / (g2 * g2)
+    return moment(2, 1.0, nu) / moment(1, 1.0, nu) ** 2
 
 
 def sample(rng: np.random.Generator, size: int, a: float, nu: float) -> np.ndarray:

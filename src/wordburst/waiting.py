@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import stretched
 from .ensembles import Ensemble, EnsembleIndex, select_dilute
@@ -201,6 +200,7 @@ def fit_stretched_exponential(risk: RiskFunction, floor: float = RISK_FLOOR,
     (a, nu).  Raises :class:`FitDidNotConverge` (carrying the best
     iterate) if no start converges.
     """
+    from scipy import optimize
     n = risk.sample_count
     R = risk.values
     ts = risk.support.astype(float)

@@ -2,6 +2,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +79,8 @@ class TestSimulate:
           "tau_min": 1e-17, "tau_max": 5.0}, "tau_min"),
         ({"process": "heterogeneous-poisson", "rate_distribution": "two-point",
           "tau_values": [1e-17, 10.0], "weights": [0.5, 0.5]}, "tau_values"),
+        ({"horizon": 2, "n_words": 10**30, "seed": 1, "rate": 1e-9}, "n_words"),  # no 32-bit stream index
+        ({"n_words": 2**32 + 1}, "n_words"),
     ])
     def test_bad_spec_value_gives_one_line(self, tmp_path, capsys, fields, offending):
         spec = write_spec(tmp_path, **fields)
@@ -370,3 +375,31 @@ def test_every_traced_stage_is_a_cli_function():
 
     assert [name for name in trace_cmd.SPAN_NAMES if not callable(getattr(cli, name, None))] == []
     assert any(trace_cmd.WRITER.match(name) and callable(value) for name, value in vars(cli).items())
+
+
+def test_commands_without_fits_do_not_import_scipy(tmp_path):
+    """scipy costs about half a second per process; only fits and special
+    functions may load it."""
+    import wordburst
+
+    spec = write_spec(tmp_path, horizon=214, n_words=300, rate=7.0)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("2005-02-11\tf\tthe cat\n2005-02-12\tf\tthe hat\n", encoding="utf-8")
+    commands = [
+        ["--version"],
+        ["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")],
+        ["ingest", "--input", str(corpus), "--output", str(tmp_path / "ing")],
+        ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dense",
+         "--output", str(tmp_path / "out")],
+    ]
+    code = ("import json, sys\nfrom wordburst.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    src = str(Path(wordburst.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 4, proc.stderr
+    assert scipy_modules == []
+    assert (tmp_path / "out" / "xtilde.csv").is_file() and json.loads(
+        (tmp_path / "out" / "dense.json").read_text(encoding="utf-8"))["word_count"] > 0
