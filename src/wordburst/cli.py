@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .dense import (
+    BIN_WIDTH,
+    WINDOW,
     matched_poisson_null,
     pool_rescaled,
     sigma_scaling,
@@ -70,6 +72,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wordburst", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -86,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--mode", required=True, choices=("rank", "dilute", "dense"))
     p_analyze.add_argument("--k-min", type=int, help="lowest class k to include")
     p_analyze.add_argument("--k-max", type=int, help="highest class k to include")
-    p_analyze.add_argument("--seed", type=int, default=0, help="seed for randomized analysis stages")
+    p_analyze.add_argument("--seed", type=seed, default=0, help="seed (>= 0) for randomized analysis stages")
     p_analyze.add_argument("--emit-plots", action="store_true", help="also write plot-ready column files")
     p_analyze.add_argument("--output", required=True, help="output directory")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -135,8 +144,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.k_min is not None and args.k_max is not None and args.k_min > args.k_max:
-        print(f"wordburst: error: --k-min {args.k_min} exceeds --k-max {args.k_max}", file=sys.stderr)
+    k_lo, k_hi = (1000, 2000) if args.mode == "dense" else (None, None)  # dense mode's default k-range
+    args.k_lo = k_lo if args.k_min is None else args.k_min
+    args.k_hi = k_hi if args.k_max is None else args.k_max
+    if args.k_lo is not None and args.k_hi is not None and args.k_lo > args.k_hi:
+        print(f"wordburst: error: --k-min {args.k_lo} exceeds --k-max {args.k_hi}", file=sys.stderr)
         return EXIT_USAGE
     outdir = _prepare_outdir(args.output, [args.input])
     matrix = load_matrix(args.input)
@@ -171,8 +183,8 @@ def _analyze_rank(matrix, outdir, args) -> list[str]:
 def _analyze_dilute(matrix, outdir, args) -> list[str]:
     index = build_ensembles(matrix)
     selected = [e for e in select_dilute(index)
-                if (args.k_min is None or e.k >= args.k_min)
-                and (args.k_max is None or e.k <= args.k_max)]
+                if (args.k_lo is None or e.k >= args.k_lo)
+                and (args.k_hi is None or e.k <= args.k_hi)]
     entries = []
     rescaled = []
     fits: dict[str, dict] = {}
@@ -196,7 +208,7 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
         fits[str(ens.k)] = fit_record(risk)
     write_distribution_csv(outdir / "waiting.csv", entries)
     write_rescaled_csv(outdir / "rescaled.csv", rescaled)
-    rows = zeta_by_ensemble(index, matrix, k_lo=args.k_min, k_hi=args.k_max, seed=args.seed)
+    rows = zeta_by_ensemble(index, matrix, k_lo=args.k_lo, k_hi=args.k_hi, seed=args.seed)
     write_zeta_csv(outdir / "zeta.csv", rows)
     _write_meancheck_csv(outdir / "meancheck.csv", checks)
     write_spectrum_csv(index, outdir / "spectrum.csv")
@@ -221,23 +233,21 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
 
 
 def _analyze_dense(matrix, outdir, args) -> list[str]:
-    k_lo = args.k_min if args.k_min is not None else 1000
-    k_hi = args.k_max if args.k_max is not None else 2000
-    empirical = pool_rescaled(matrix, k_lo, k_hi)
+    empirical = pool_rescaled(matrix, args.k_lo, args.k_hi)
     sidecar = {
-        "k_min": k_lo, "k_max": k_hi, "seed": args.seed,
-        "bin_width": 0.25, "window": [-6.0, 10.0],
+        "k_min": args.k_lo, "k_max": args.k_hi, "seed": args.seed,
+        "bin_width": BIN_WIDTH, "window": list(WINDOW),
         "word_count": empirical.word_count, "skipped_words": empirical.skipped_words,
         "clipped_values": empirical.clipped_count,
     }
     outputs = ["xtilde.csv", "dense.json"]
     if empirical.word_count == 0:
-        print(f"wordburst: warning: no words with totals in [{k_lo}, {k_hi}] and nonzero daily spread;"
+        print(f"wordburst: warning: no words with totals in [{args.k_lo}, {args.k_hi}] and nonzero daily spread;"
               f" zero-spread words skipped: {empirical.skipped_words}", file=sys.stderr)
         null = empirical
     else:
-        null_matrix = matched_poisson_null(matrix, k_lo, k_hi, args.seed)
-        null = pool_rescaled(null_matrix, k_lo, k_hi)
+        null_matrix = matched_poisson_null(matrix, args.k_lo, args.k_hi, args.seed)
+        null = pool_rescaled(null_matrix, args.k_lo, args.k_hi)
         try:
             table = sigma_scaling(matrix)
             write_sigma_scaling_csv(outdir / "sigma_scaling.csv", table)

@@ -23,6 +23,8 @@ from .matrix import WordDayMatrix
 from .seeding import substreams
 
 BLOCK_CELLS = 1 << 19  # day counts per dense block (4 MB of int64), whatever the horizon
+BIN_WIDTH = 0.25  # default bin width of the pooled standardized counts
+WINDOW = (-6.0, 10.0)  # binned range of the standardized counts; values outside are clipped
 
 
 @dataclass
@@ -111,11 +113,10 @@ class RescaledCountDistribution:
 
 
 def pool_rescaled(matrix: WordDayMatrix, k_lo: int, k_hi: int,
-                  bin_width: float = 0.25, window: tuple[float, float] = (-6.0, 10.0)) -> RescaledCountDistribution:
-    """Pool standardized daily counts of every word with total in [k_lo, k_hi]."""
+                  bin_width: float = BIN_WIDTH) -> RescaledCountDistribution:
+    """Pool standardized daily counts of words with total in [k_lo, k_hi] over WINDOW."""
     classes = select_dense(build_ensembles(matrix), k_lo, k_hi)
-    lo, hi = window
-    edges = np.arange(lo, hi + bin_width / 2, bin_width)
+    edges = np.arange(WINDOW[0], WINDOW[1] + bin_width / 2, bin_width)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     used = n_values = 0
     for k, block in _class_blocks(matrix, classes):
@@ -141,7 +142,7 @@ def poisson_null_ensemble(k: int, horizon: int, n_words: int, seed: int,
     """
     if k < 1 or n_words < 1:
         raise ValueError("k and n_words must be >= 1")
-    width = len(str(n_words - 1)) if n_words > 1 else 1
+    width = len(str(n_words - 1))
     names = [f"{name_prefix}k{k}_{i:0{width}d}" for i in range(n_words)]
     return _box_allocation(names, [k] * n_words, horizon, seed)
 
@@ -188,12 +189,11 @@ class SigmaScalingTable:
     exponent_abs: float
 
 
-def sigma_scaling(matrix: WordDayMatrix, k_values=None, min_words: int = 1) -> SigmaScalingTable:
+def sigma_scaling(matrix: WordDayMatrix) -> SigmaScalingTable:
     """Fit log-log slopes of spread against k over exact-k classes."""
     index = build_ensembles(matrix)
-    ks = index.ks() if k_values is None else sorted(set(k_values) & set(index.ks()))
     rows = []
-    for ens in (index[k] for k in ks if index[k].n_k >= min_words):
+    for ens in (index[k] for k in index.ks()):
         mean = ens.k / matrix.horizon
         std = np.concatenate([_standardize(block, mean)[1] for _, block in _class_blocks(matrix, [ens])])
         std = std[std > 0]

@@ -93,14 +93,35 @@ def _denom(x, a1, a2, g1, g2):
     return 1.0 + a1 * np.power(x, g1) + a2 * np.power(x, g2)
 
 
-def _subsample(n: int, max_points: int = MAX_FIT_POINTS) -> np.ndarray:
-    """Log-spaced index subsample so the tail is not swamped by low ranks."""
-    if n <= max_points:
-        return np.arange(n)
-    return np.unique(np.round(np.logspace(0, np.log10(n), max_points)).astype(np.int64)) - 1
+def _log_curve(curve: RankCurve) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, log counts)`` at no more than MAX_FIT_POINTS log-spaced
+    ranks, so the tail is not swamped by low ranks."""
+    n = curve.ranks.size
+    idx = np.arange(n)
+    if n > MAX_FIT_POINTS:
+        idx = np.unique(np.round(np.logspace(0, np.log10(n), MAX_FIT_POINTS)).astype(np.int64)) - 1
+    return curve.ranks[idx].astype(float), np.log(curve.counts[idx].astype(float))
 
 
-def fit_modified_power_law(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -> ModifiedPowerLawFit:
+def _simplex(log_y: np.ndarray, log_denominator, starts, **options) -> list:
+    """Nelder-Mead from each start on the log-space squared error, log A profiled
+    out; ``log_denominator(theta)`` is None outside the bounds.  One result per start."""
+    from scipy import optimize
+
+    def objective(theta):
+        log_d = log_denominator(theta)
+        if log_d is None:
+            return 1e12
+        log_a = np.mean(log_y + log_d)
+        r = log_y - (log_a - log_d)
+        return float(r @ r)
+
+    return [optimize.minimize(objective, start, method="Nelder-Mead",
+                              options={"maxfev": SIMPLEX_BUDGET, "fatol": OBJECTIVE_TOL, **options})
+            for start in starts]
+
+
+def fit_modified_power_law(curve: RankCurve) -> ModifiedPowerLawFit:
     """Fit the two-exponent law in log-log space.
 
     Simplex search over (log a1, log a2, g1, g2-g1) with the amplitude
@@ -109,13 +130,7 @@ def fit_modified_power_law(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -
     coefficient.  Curves too small or flat to constrain the model come
     back flagged degenerate instead of raising.
     """
-    from scipy import optimize
-    x_all = curve.ranks.astype(float)
-    y_all = curve.counts.astype(float)
-    idx = _subsample(x_all.size, max_points)
-    xs, ys = x_all[idx], y_all[idx]
-    log_y = np.log(ys)
-
+    xs, log_y = _log_curve(curve)
     spread = log_y.max() - log_y.min()
     if xs.size < 10 or xs.max() / xs.min() < 100.0 or spread < 1e-12:
         # not enough structure for a 5-parameter fit
@@ -124,22 +139,13 @@ def fit_modified_power_law(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -
             residual=float(np.sqrt(np.mean((log_y - log_y.mean()) ** 2))), degenerate=True,
         )
 
-    def objective(theta):
+    def log_denominator(theta):
         la1, la2, g1, dg = theta
         if g1 <= 0 or dg <= 0 or g1 > 10 or dg > 10:
-            return 1e12
-        log_d = np.log(_denom(xs, np.exp(la1), np.exp(la2), g1, g1 + dg))
-        log_a = np.mean(log_y + log_d)
-        r = log_y - (log_a - log_d)
-        return float(r @ r)
+            return None
+        return np.log(_denom(xs, np.exp(la1), np.exp(la2), g1, g1 + dg))
 
-    solutions = []
-    for start in _STARTS:
-        sol = optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            options={"maxfev": SIMPLEX_BUDGET, "fatol": OBJECTIVE_TOL, "xatol": 1e-10},
-        )
-        solutions.append(sol)
+    solutions = _simplex(log_y, log_denominator, _STARTS, xatol=1e-10)
     best_cost = min(s.fun for s in solutions)
     if not np.isfinite(best_cost):
         raise FitDidNotConverge("all simplex starts diverged", best=None)
@@ -147,71 +153,50 @@ def fit_modified_power_law(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -
     # which resolves the a2-ambiguity of data with a single power regime
     near = [s for s in solutions if s.fun <= best_cost * (1 + 1e-6) + 1e-12]
     best = min(near, key=lambda s: s.x[1])
-    if not any(s.success for s in solutions):
-        la1, la2, g1, dg = best.x
-        log_a = np.mean(log_y + np.log(_denom(xs, np.exp(la1), np.exp(la2), g1, g1 + dg)))
-        raise FitDidNotConverge(
-            "simplex exhausted its budget on every start",
-            best=ModifiedPowerLawFit(
-                A=float(np.exp(log_a)), a1=float(np.exp(la1)), a2=float(np.exp(la2)),
-                gamma1=float(g1), gamma2=float(g1 + dg),
-                residual=float(np.sqrt(best.fun / xs.size)),
-            ),
-        )
     la1, la2, g1, dg = best.x
-    a1, a2, g2 = float(np.exp(la1)), float(np.exp(la2)), float(g1 + dg)
-    log_a = np.mean(log_y + np.log(_denom(xs, a1, a2, g1, g2)))
-    return ModifiedPowerLawFit(
-        A=float(np.exp(log_a)), a1=a1, a2=a2, gamma1=float(g1), gamma2=g2,
+    fit = ModifiedPowerLawFit(
+        A=float(np.exp(np.mean(log_y + log_denominator(best.x)))),
+        a1=float(np.exp(la1)), a2=float(np.exp(la2)), gamma1=float(g1), gamma2=float(g1 + dg),
         residual=float(np.sqrt(best.fun / xs.size)),
     )
+    if not any(s.success for s in solutions):
+        raise FitDidNotConverge("simplex exhausted its budget on every start", best=fit)
+    return fit
 
 
-def fit_zipf(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -> BaselineFit:
+def fit_zipf(curve: RankCurve) -> BaselineFit:
     """Straight-line fit in log-log space: count = A * x**-lam."""
-    idx = _subsample(curve.ranks.size, max_points)
-    lx = np.log(curve.ranks[idx].astype(float))
-    ly = np.log(curve.counts[idx].astype(float))
-    if lx.size < 2:
+    xs, ly = _log_curve(curve)
+    if xs.size < 2:
         return BaselineFit(kind="zipf", A=float(np.exp(ly.mean())), lam=0.0,
                            a=None, nu=None, residual=0.0)
+    lx = np.log(xs)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (intercept + slope * lx)
     return BaselineFit(kind="zipf", A=float(np.exp(intercept)), lam=float(-slope),
                        a=None, nu=None, residual=float(np.sqrt(np.mean(resid**2))))
 
 
-def fit_zipf_mandelbrot(curve: RankCurve, max_points: int = MAX_FIT_POINTS) -> BaselineFit:
+def fit_zipf_mandelbrot(curve: RankCurve) -> BaselineFit:
     """Shifted power law count = A / (1 + a*x)**nu, amplitude profiled."""
-    from scipy import optimize
-    idx = _subsample(curve.ranks.size, max_points)
-    xs = curve.ranks[idx].astype(float)
-    log_y = np.log(curve.counts[idx].astype(float))
+    xs, log_y = _log_curve(curve)
     if xs.size < 3:
         return BaselineFit(kind="zipf-mandelbrot", A=float(np.exp(log_y.mean())),
                            lam=None, a=0.0, nu=1.0,
                            residual=float(np.sqrt(np.mean((log_y - log_y.mean()) ** 2))))
 
-    def objective(theta):
+    def log_denominator(theta):
         la, nu = theta
         if nu <= 0 or nu > 20:
-            return 1e12
-        log_d = nu * np.log1p(np.exp(la) * xs)
-        log_a = np.mean(log_y + log_d)
-        r = log_y - (log_a - log_d)
-        return float(r @ r)
+            return None
+        return nu * np.log1p(np.exp(la) * xs)
 
-    best = None
-    for start in ((np.log(0.1), 1.0), (np.log(1.0), 0.8), (np.log(0.01), 1.5)):
-        sol = optimize.minimize(objective, start, method="Nelder-Mead",
-                                options={"maxfev": SIMPLEX_BUDGET, "fatol": OBJECTIVE_TOL})
-        if best is None or sol.fun < best.fun:
-            best = sol
+    starts = ((np.log(0.1), 1.0), (np.log(1.0), 0.8), (np.log(0.01), 1.5))
+    best = min(_simplex(log_y, log_denominator, starts), key=lambda s: s.fun)
     la, nu = best.x
-    a = float(np.exp(la))
-    log_a = np.mean(log_y + nu * np.log1p(a * xs))
-    return BaselineFit(kind="zipf-mandelbrot", A=float(np.exp(log_a)), lam=None,
-                       a=a, nu=float(nu), residual=float(np.sqrt(best.fun / xs.size)))
+    return BaselineFit(kind="zipf-mandelbrot", A=float(np.exp(np.mean(log_y + log_denominator(best.x)))),
+                       lam=None, a=float(np.exp(la)), nu=float(nu),
+                       residual=float(np.sqrt(best.fun / xs.size)))
 
 
 def rank_table(curve: RankCurve, fit: ModifiedPowerLawFit):

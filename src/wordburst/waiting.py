@@ -27,7 +27,8 @@ from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substream
 
-RISK_FLOOR = 1e-4
+RISK_FLOOR = 1e-4  # risk points at or below this are left out of the stretched fit
+T_R_MAX = 3.0  # rescaled-time cut of the collapse curves
 
 
 def waiting_times(series: Mapping[int, int], horizon: int) -> np.ndarray:
@@ -137,16 +138,15 @@ def rescale_time(risk: RiskFunction, k: int) -> RescaledRiskCurve:
     return RescaledRiskCurve(k=k, t_r=t_r, values=risk.values.copy())
 
 
-def rescaled_survival(dist: WaitingTimeDistribution, k: int | None = None,
-                      t_r_max: float = 3.0) -> RescaledRiskCurve:
+def rescaled_survival(dist: WaitingTimeDistribution, k: int | None = None) -> RescaledRiskCurve:
     """Exclusive survival P(tau > t) at t_R = t * k / horizon, anchored at
-    (0, 1) and cut at ``t_r_max``: the curve used for collapse checks."""
+    (0, 1) and cut at T_R_MAX: the curve used for collapse checks."""
     k = dist.k if k is None else k
     if k is None:
         raise ValueError("a positive k is required to rescale")
     curve = rescale_time(risk_function(dist), k)
     scale = k / dist.horizon
-    t_max = min(int(np.floor(t_r_max / scale)), dist.horizon - 2)
+    t_max = min(int(np.floor(T_R_MAX / scale)), dist.horizon - 2)
     # values[t] = R(t+1) = P(tau > t) belongs at t_R of day t, which is t_r[t-1]
     curve.t_r = np.concatenate([[0.0], curve.t_r[:t_max]])
     curve.values = np.concatenate([[1.0], curve.values[1:t_max + 1]])
@@ -158,14 +158,13 @@ def max_exponential_deviation(curve: RescaledRiskCurve) -> float:
     return float(np.max(np.abs(curve.values - np.exp(-curve.t_r))))
 
 
-def max_pairwise_deviation(curves: Sequence[RescaledRiskCurve],
-                           t_r_max: float = 3.0, step: float = 0.05) -> float:
+def max_pairwise_deviation(curves: Sequence[RescaledRiskCurve]) -> float:
     """Largest sup distance between any two curves on a common t_R grid.
 
     Curves are interpolated log-linearly (exact for exponential-shaped
     survivals) onto the grid before comparison.
     """
-    grid = np.arange(0.0, t_r_max + step / 2, step)
+    grid = np.arange(0.0, T_R_MAX + 0.025, 0.05)  # step 0.05, T_R_MAX included
     interped = []
     for c in curves:
         mask = c.values > 0
@@ -188,25 +187,25 @@ class StretchedExpFit:
     n_points: int
 
 
-def fit_stretched_exponential(risk: RiskFunction, floor: float = RISK_FLOOR,
-                              max_nfev: int = 200) -> StretchedExpFit:
+def fit_stretched_exponential(risk: RiskFunction) -> StretchedExpFit:
     """Fit the continuous survival S(t) to the empirical risk function.
 
-    Least squares on log R over support points with R above ``floor``,
+    Least squares on log R over support points with R above RISK_FLOOR,
     weighted by the binomial precision of each point,
-    sqrt(n R / (1 - R)).  The model is evaluated at t-1 so that its
-    exclusive-survival convention matches the empirical one (exact for
-    daily-thinned Poisson data).  The normalization C follows from
-    (a, nu).  Raises :class:`FitDidNotConverge` (carrying the best
+    sqrt(n R / (1 - R)), from five starts nu0 in {0.3, 0.5, 0.7, 1, 1.5}
+    of at most 200 evaluations each.  The model is evaluated at t-1 so
+    that its exclusive-survival convention matches the empirical one
+    (exact for daily-thinned Poisson data).  The normalization C follows
+    from (a, nu).  Raises :class:`FitDidNotConverge` (carrying the best
     iterate) if no start converges.
     """
     from scipy import optimize
     n = risk.sample_count
     R = risk.values
     ts = risk.support.astype(float)
-    mask = (R > floor) & (R < 1.0 - 0.5 / max(n, 1))
+    mask = (R > RISK_FLOOR) & (R < 1.0 - 0.5 / max(n, 1))
     if mask.sum() < 10:
-        raise EmptySampleError(f"need >= 10 usable risk points above {floor}, got {int(mask.sum())}")
+        raise EmptySampleError(f"need >= 10 usable risk points above {RISK_FLOOR}, got {int(mask.sum())}")
     ts, R = ts[mask], R[mask]
     log_r = np.log(R)
     weights = np.sqrt(n * R / (1.0 - R))
@@ -223,7 +222,7 @@ def fit_stretched_exponential(risk: RiskFunction, floor: float = RISK_FLOOR,
     for nu0 in (0.3, 0.5, 0.7, 1.0, 1.5):
         sol = optimize.least_squares(
             residuals, x0=[np.log(a0), nu0],
-            bounds=([-30.0, 0.02], [5.0, 2.0]), max_nfev=max_nfev,
+            bounds=([-30.0, 0.02], [5.0, 2.0]), max_nfev=200,
         )
         if best is None or sol.cost < best.cost:
             best = sol
@@ -280,8 +279,7 @@ class MeanWaitingCheck:
     low_sample: bool
 
 
-def mean_waiting_check(dist: WaitingTimeDistribution, k: int | None = None,
-                       low_sample_below: int = 10) -> MeanWaitingCheck:
+def mean_waiting_check(dist: WaitingTimeDistribution, k: int | None = None) -> MeanWaitingCheck:
     k = dist.k if k is None else k
     if k is None or k < 1:
         raise ValueError("a positive k is required")
@@ -291,7 +289,7 @@ def mean_waiting_check(dist: WaitingTimeDistribution, k: int | None = None,
         k=k, mean_tau=mean_tau, expected=expected,
         deviation=abs(mean_tau - expected) / expected,
         sample_count=dist.sample_count,
-        low_sample=dist.sample_count < low_sample_below,
+        low_sample=dist.sample_count < 10,
     )
 
 
@@ -306,7 +304,7 @@ class ZetaRow:
 
 def zeta_by_ensemble(index: EnsembleIndex, matrix: WordDayMatrix,
                      k_lo: int | None = None, k_hi: int | None = None,
-                     min_sample: int = 2, n_boot: int = 200, seed: int = 0) -> list[ZetaRow]:
+                     n_boot: int = 200, seed: int = 0) -> list[ZetaRow]:
     """Per-class dispersion ratio with a bootstrap error over words.
 
     Words are resampled with replacement within each class (``n_boot``
@@ -318,7 +316,7 @@ def zeta_by_ensemble(index: EnsembleIndex, matrix: WordDayMatrix,
         if (k_lo is not None and k < k_lo) or (k_hi is not None and k > k_hi):
             continue
         n, taus = matrix.gaps(ens.words)
-        if taus.size < max(min_sample, 1):
+        if taus.size < 2:
             continue
         z = zeta(taus)
         err = 0.0
@@ -339,19 +337,17 @@ def zeta_by_ensemble(index: EnsembleIndex, matrix: WordDayMatrix,
     return rows
 
 
-def log_binned_density(taus: np.ndarray, factor: float = 1.25) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Histogram a gap sample into logarithmic bins for display.
+def log_binned_density(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Histogram a gap sample into logarithmic bins (edges 1.25**i) for display.
 
     Returns (lower, upper, center, density) arrays with empty bins
     dropped; statistics should always use the unbinned sample.
     """
-    if factor <= 1:
-        raise ValueError("bin factor must exceed 1")
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise EmptySampleError("nothing to bin")
-    n_bins = int(np.ceil(np.log(taus.max() + 1) / np.log(factor))) + 1
-    edges = np.power(factor, np.arange(n_bins + 1))
+    n_bins = int(np.ceil(np.log(taus.max() + 1) / np.log(1.25))) + 1
+    edges = np.power(1.25, np.arange(n_bins + 1))
     counts, _ = np.histogram(taus, bins=edges)
     widths = np.diff(edges)
     density = counts / (taus.size * widths)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordburst.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from wordburst import rankstats
+from wordburst.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from wordburst.matrix import load_matrix, save_matrix
 
 from conftest import build_matrix
@@ -186,6 +187,18 @@ class TestAnalyzeRank:
         assert {"A", "a1", "a2", "gamma1", "gamma2", "residual", "baselines"} <= set(fit)
         assert {"zipf", "zipf_mandelbrot"} <= set(fit["baselines"])
 
+    def test_fit_out_of_budget_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rankstats, "SIMPLEX_BUDGET", 3)
+        x = np.arange(1, 5001)
+        counts = np.maximum(np.round(1e5 / (1 + 0.5 * x**0.8 + 1e-3 * x**1.6)), 1)
+        save_matrix(build_matrix({f"w{i:04d}": {0: int(c)} for i, c in enumerate(counts)}, horizon=1),
+                    tmp_path / "m.tsv")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "rank",
+                     "--output", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "wordburst: numeric failure: simplex exhausted its budget on every start\n"
+        assert not (out / "manifest.json").exists()
+
 
 class TestAnalyzeDilute:
     def test_memoryless_corpus_dispersion_near_two(self, tmp_path):
@@ -278,6 +291,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == "wordburst: word 'w': total count exceeds 2^63 - 1\n"
         assert not (out / "manifest.json").exists()
 
+    @staticmethod
+    def seeded_matrix(tmp_path):
+        """A sparse class of two words (the zeta bootstrap draws from the seed)
+        and a word of total 1045 (the dense null draws from it)."""
+        path = tmp_path / "m.tsv"
+        save_matrix(build_matrix({"a": {0: 1, 3: 1}, "b": {1: 1, 5: 1}, "c": {d: 100 + d for d in range(10)}},
+                                 horizon=10), path)
+        return path
+
+    @pytest.mark.parametrize("mode", ["rank", "dilute", "dense"])
+    def test_negative_seed_is_usage_error_writing_nothing(self, tmp_path, capsys, mode):
+        out = tmp_path / "out"
+        argv = ["analyze", "--input", str(self.seeded_matrix(tmp_path)), "--mode", mode, "--seed", "-3"]
+        assert main(argv + ["--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: must be an integer >= 0, got -3\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["dilute", "dense"])
+    def test_seed_past_2_64_runs(self, tmp_path, mode):
+        out = tmp_path / "out"
+        argv = ["analyze", "--input", str(self.seeded_matrix(tmp_path)), "--mode", mode, "--seed", str(2**200)]
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]["seed"] == 2**200
+
     def test_usage_error_is_one(self, capsys):
         assert main(["analyze", "--mode", "nonsense"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -296,6 +335,7 @@ class TestExitCodes:
         ("matrix-not-utf8", EXIT_DATA),
         ("matrix-negative-cell", EXIT_DATA),
         ("matrix-cell-2^63", EXIT_DATA),
+        ("k-max-below-dense-default", EXIT_USAGE),
     ])
     def test_bad_input_gives_one_line_and_exit_code(self, tmp_path, capsys, case, expected):
         corpus = tmp_path / "corpus.txt"
@@ -311,6 +351,8 @@ class TestExitCodes:
             argv = ["ingest", "--input", str(corpus), "--scan-log", str(log)]
         elif case == "k-range-inverted":
             argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-min", "5", "--k-max", "2"]
+        elif case == "k-max-below-dense-default":
+            argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-max", "999"]
         elif case == "input-is-directory":
             argv[2] = str(tmp_path)
         elif case == "matrix-horizon-zero":

@@ -93,3 +93,40 @@ def test_arbitrary_input_bytes(corpus, scan_log, matrix, spec):
             assert code in (0, 2, 3), (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
         assert not list(d.rglob("*.tmp"))
+
+
+# a sparse class of three words with gaps (the zeta bootstrap draws from the
+# seed) and one word of total 1045 (the dense null draws from it)
+_ARGS_MATRIX = "#T=10\na\t0:1,3:1\nb\t1:1,5:1\nc\t2:1,9:1\nd\t" + ",".join(
+    f"{d}:{100 + d}" for d in range(10)) + "\n"
+_int_arg = st.one_of(st.none(), st.sampled_from([-(2**200), -(2**63), -1, 0, 1, 2**63, 2**200]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mode=st.sampled_from(["rank", "dilute", "dense"]), seed=_int_arg, k_min=_int_arg, k_max=_int_arg,
+       plots=st.booleans(), output=st.sampled_from(["new", "file", "input-dir"]))
+def test_arbitrary_arguments(mode, seed, k_min, k_max, plots, output):
+    """Any argument values: exit 0-3, no traceback, no temp file, the input
+    untouched, and a usage error (exit 1) writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        matrix = d / "matrix.tsv"
+        matrix.write_text(_ARGS_MATRIX, encoding="utf-8")
+        (d / "file").write_text("not a directory", encoding="utf-8")
+        argv = ["analyze", "--input", matrix, "--mode", mode,
+                "--output", {"new": d / "out", "file": d / "file", "input-dir": d}[output]]
+        for flag, value in (("--seed", seed), ("--k-min", k_min), ("--k-max", k_max)):
+            if value is not None:
+                argv += [flag, value]
+        if plots:
+            argv.append("--emit-plots")
+        before = sorted(d.rglob("*"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(a) for a in argv])
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert not list(d.rglob("*.tmp"))
+        assert matrix.read_text(encoding="utf-8") == _ARGS_MATRIX
+        if code == 1:
+            assert sorted(d.rglob("*")) == before

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from wordburst.errors import EmptyCorpusError
+from wordburst import rankstats
+from wordburst.errors import EmptyCorpusError, FitDidNotConverge
 from wordburst.ingest import Post, bin_daily
 from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import (
@@ -87,6 +88,16 @@ class TestModifiedPowerLawFit:
         # the second term is idle: negligible share of the denominator
         tail_share = fit.a2 * x.max() ** fit.gamma2 / (fit.a1 * x.max() ** fit.gamma1)
         assert tail_share < 0.01
+
+    def test_exhausted_budget_raises_with_best_start(self, monkeypatch):
+        monkeypatch.setattr(rankstats, "SIMPLEX_BUDGET", 3)
+        with pytest.raises(FitDidNotConverge) as info:
+            fit_modified_power_law(curve_from_model(5000, A=1e5, a1=0.5, a2=1e-3, g1=0.8, g2=1.6))
+        best = info.value.best
+        assert not best.degenerate
+        # the first start is the true (a1, a2, g1, g2); three evaluations do not leave it
+        assert (best.A, best.a1, best.a2, best.gamma1, best.gamma2, best.residual) == pytest.approx(
+            (99998.79716540035, 0.5, 1e-3, 0.8, 1.6, 0.0009846130297773456), rel=1e-9)
 
     def test_flat_curve_degenerate(self):
         counts = np.full(5000, 42, dtype=np.int64)
