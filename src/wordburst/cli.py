@@ -28,7 +28,7 @@ from .dense import (
     write_sigma_scaling_csv,
     write_xtilde_csv,
 )
-from .ensembles import build_ensembles, select_dilute, write_spectrum_csv
+from .ensembles import build_ensembles, select_dense, select_dilute, write_spectrum_csv
 from .errors import EmptySampleError, FitDidNotConverge, WordburstError
 from .fileio import atomic_writer, write_table
 from .ingest import ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
@@ -208,7 +208,7 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
         fits[str(ens.k)] = fit_record(risk)
     write_distribution_csv(outdir / "waiting.csv", entries)
     write_rescaled_csv(outdir / "rescaled.csv", rescaled)
-    rows = zeta_by_ensemble(index, matrix, k_lo=args.k_lo, k_hi=args.k_hi, seed=args.seed)
+    rows = zeta_by_ensemble(selected, matrix, seed=args.seed)
     write_zeta_csv(outdir / "zeta.csv", rows)
     _write_meancheck_csv(outdir / "meancheck.csv", checks)
     write_spectrum_csv(index, outdir / "spectrum.csv")
@@ -233,7 +233,9 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
 
 
 def _analyze_dense(matrix, outdir, args) -> list[str]:
-    empirical = pool_rescaled(matrix, args.k_lo, args.k_hi)
+    index = build_ensembles(matrix)
+    selected = select_dense(index, args.k_lo, args.k_hi)
+    empirical = pool_rescaled(selected, matrix)
     sidecar = {
         "k_min": args.k_lo, "k_max": args.k_hi, "seed": args.seed,
         "bin_width": BIN_WIDTH, "window": list(WINDOW),
@@ -246,10 +248,10 @@ def _analyze_dense(matrix, outdir, args) -> list[str]:
               f" zero-spread words skipped: {empirical.skipped_words}", file=sys.stderr)
         null = empirical
     else:
-        null_matrix = matched_poisson_null(matrix, args.k_lo, args.k_hi, args.seed)
-        null = pool_rescaled(null_matrix, args.k_lo, args.k_hi)
+        null_matrix = matched_poisson_null(selected, matrix, args.seed)
+        null = pool_rescaled(select_dense(build_ensembles(null_matrix), args.k_lo, args.k_hi), null_matrix)
         try:
-            table = sigma_scaling(matrix)
+            table = sigma_scaling(index, matrix)
             write_sigma_scaling_csv(outdir / "sigma_scaling.csv", table)
             sidecar["sigma_exponent_rel"] = table.exponent_rel
             sidecar["sigma_exponent_abs"] = table.exponent_abs

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, build_ensembles, select_dense
+from .ensembles import Ensemble, EnsembleIndex
 from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substreams
@@ -69,36 +69,36 @@ def _one_row(series, horizon: int) -> np.ndarray:
         if series.shape != (horizon,):
             raise ValueError(f"expected a length-{horizon} vector")
         return series.astype(np.int64)[None, :]
-    return WordDayMatrix.from_mapping(horizon, {"": series}).dense_block([""])
+    return WordDayMatrix.from_mapping(horizon, {"": series}).dense_block([0])
 
 
-def _standardize(block: np.ndarray, mean: float) -> tuple[np.ndarray, np.ndarray]:
+def _standardize(block: np.ndarray, mean) -> tuple[np.ndarray, np.ndarray]:
     """(x - mean)/sigma for each row of a (words x T) count block with
-    sigma > 0, and every row's sigma (population standard deviation)."""
+    sigma > 0, and every row's sigma (population standard deviation);
+    ``mean`` is one number or a column of one per row."""
     dev = block - mean
     std = np.sqrt(np.mean(dev**2, axis=1))
     return dev[std > 0] / std[std > 0, None], std
 
 
-def _class_blocks(matrix: WordDayMatrix, classes: list[Ensemble]):
-    """(k, dense block) per class, at most BLOCK_CELLS day counts (or one word) per block."""
+def _word_blocks(matrix: WordDayMatrix, classes: list[Ensemble]):
+    """(dense block, column of each word's k/T) over the words of ``classes``
+    in order, at most BLOCK_CELLS day counts (or one word) per block."""
+    rows = np.concatenate([np.empty(0, np.intp), *(e.rows for e in classes)])
+    means = np.repeat([e.k / matrix.horizon for e in classes], [e.n_k for e in classes])
     step = max(1, BLOCK_CELLS // matrix.horizon)
-    for ens in classes:
-        for i in range(0, ens.n_k, step):
-            yield ens.k, matrix.dense_block(ens.words[i:i + step])
+    for i in range(0, rows.size, step):
+        yield matrix.dense_block(rows[i:i + step]), means[i:i + step, None]
 
 
 @dataclass
 class RescaledCountDistribution:
     """Pooled standardized daily counts over a k-range, binned for display."""
 
-    k_lo: int
-    k_hi: int
     bin_edges: np.ndarray
     density: np.ndarray
     word_count: int
     skipped_words: int  # zero-spread words that contributed nothing
-    value_count: int
     clipped_count: int  # standardized values outside the binning window
 
     @property
@@ -112,24 +112,21 @@ class RescaledCountDistribution:
         return float(np.sum(self.density[sel] * widths[sel]))
 
 
-def pool_rescaled(matrix: WordDayMatrix, k_lo: int, k_hi: int,
+def pool_rescaled(classes: list[Ensemble], matrix: WordDayMatrix,
                   bin_width: float = BIN_WIDTH) -> RescaledCountDistribution:
-    """Pool standardized daily counts of words with total in [k_lo, k_hi] over WINDOW."""
-    classes = select_dense(build_ensembles(matrix), k_lo, k_hi)
+    """Pool the standardized daily counts of the words of ``classes`` over WINDOW."""
     edges = np.arange(WINDOW[0], WINDOW[1] + bin_width / 2, bin_width)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    used = n_values = 0
-    for k, block in _class_blocks(matrix, classes):
-        xt, _ = _standardize(block, k / matrix.horizon)
+    used = 0
+    for block, mean in _word_blocks(matrix, classes):
+        xt, _ = _standardize(block, mean)
         counts += np.histogram(xt, bins=edges)[0]
         used += xt.shape[0]
-        n_values += xt.size
     total_in = int(counts.sum())
     density = counts / (total_in * bin_width) if total_in else np.zeros(edges.size - 1)
     return RescaledCountDistribution(
-        k_lo=k_lo, k_hi=k_hi, bin_edges=edges, density=density,
-        word_count=used, skipped_words=sum(e.n_k for e in classes) - used,
-        value_count=n_values, clipped_count=n_values - total_in,
+        bin_edges=edges, density=density, word_count=used,
+        skipped_words=sum(e.n_k for e in classes) - used, clipped_count=used * matrix.horizon - total_in,
     )
 
 
@@ -147,14 +144,15 @@ def poisson_null_ensemble(k: int, horizon: int, n_words: int, seed: int,
     return _box_allocation(names, [k] * n_words, horizon, seed)
 
 
-def matched_poisson_null(matrix: WordDayMatrix, k_lo: int, k_hi: int, seed: int) -> WordDayMatrix:
-    """One box-allocation word per real word in the k-range, same totals.
+def matched_poisson_null(classes: list[Ensemble], matrix: WordDayMatrix, seed: int) -> WordDayMatrix:
+    """One box-allocation word per word of ``classes``, same totals.
 
     Word order is sorted for determinism; substream index follows that
     order.
     """
-    pairs = sorted((w, e.k) for e in select_dense(build_ensembles(matrix), k_lo, k_hi) for w in e.words)
-    return _box_allocation([f"null_{w}" for w, _ in pairs], [k for _, k in pairs], matrix.horizon, seed)
+    pairs = sorted((r, e.k) for e in classes for r in e.rows.tolist())  # rows ascend with words
+    names = [f"null_{matrix.words[r]}" for r, _ in pairs]
+    return _box_allocation(names, [k for _, k in pairs], matrix.horizon, seed)
 
 
 def _box_allocation(names: list[str], ks: list[int], horizon: int, seed: int) -> WordDayMatrix:
@@ -189,13 +187,14 @@ class SigmaScalingTable:
     exponent_abs: float
 
 
-def sigma_scaling(matrix: WordDayMatrix) -> SigmaScalingTable:
-    """Fit log-log slopes of spread against k over exact-k classes."""
-    index = build_ensembles(matrix)
+def sigma_scaling(index: EnsembleIndex, matrix: WordDayMatrix) -> SigmaScalingTable:
+    """Fit log-log slopes of spread against k over the exact-k classes of ``index``."""
+    classes = [index[k] for k in index.ks()]
+    stds = [_standardize(block, mean)[1] for block, mean in _word_blocks(matrix, classes)]
+    per_word = np.concatenate([np.empty(0), *stds])
     rows = []
-    for ens in (index[k] for k in index.ks()):
+    for ens, std in zip(classes, np.split(per_word, np.cumsum([e.n_k for e in classes])[:-1])):
         mean = ens.k / matrix.horizon
-        std = np.concatenate([_standardize(block, mean)[1] for _, block in _class_blocks(matrix, [ens])])
         std = std[std > 0]
         if std.size:
             rows.append(SigmaScalingRow(k=ens.k, n_words=int(std.size), sigma_rel=float(np.mean(std / mean)),

@@ -16,16 +16,16 @@ from .fileio import write_table
 from .matrix import WordDayMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """All words occurring exactly ``k`` times over the horizon."""
 
     k: int
-    words: tuple[str, ...]
+    rows: np.ndarray  # their matrix rows, ascending and read-only
 
     @property
     def n_k(self) -> int:
-        return len(self.words)
+        return len(self.rows)
 
 
 @dataclass
@@ -50,11 +50,11 @@ class EnsembleIndex:
 def build_ensembles(matrix: WordDayMatrix) -> EnsembleIndex:
     """Partition the vocabulary by exact total count."""
     totals = matrix.totals()
-    order = np.argsort(totals, kind="stable")  # words stay sorted within a class
+    order = np.argsort(totals, kind="stable")  # rows stay ascending within a class
+    order.flags.writeable = False
     ks, starts = np.unique(totals[order], return_index=True)
     ends = np.append(starts[1:], order.size)
-    by_k = {int(k): Ensemble(k=int(k), words=tuple(matrix.words[r] for r in order[a:b]))
-            for k, a, b in zip(ks, starts, ends)}
+    by_k = {int(k): Ensemble(k=int(k), rows=order[a:b]) for k, a, b in zip(ks, starts, ends)}
     return EnsembleIndex(by_k=by_k, horizon=matrix.horizon)
 
 

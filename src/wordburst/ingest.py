@@ -72,6 +72,11 @@ class ScanLog:
 
     def __post_init__(self):
         for i, d in enumerate(self.days):
+            for name, kind in (("day_index", int), ("scan_performed", bool), ("new_post_count", int)):
+                value = getattr(d, name)
+                if type(value) is not kind:  # not isinstance: JSON true must not pass as an integer
+                    raise CorpusFormatError(f"scan log day {i}: {name} must be a JSON "
+                                            f"{'boolean' if kind is bool else 'integer'}, got {value!r}")
             if d.day_index != i:
                 raise CorpusFormatError(f"scan log days must be contiguous from 0, got {d.day_index} at {i}")
             if d.new_post_count < 0:
@@ -93,7 +98,7 @@ class ScanLog:
         try:
             raw = json.loads(text)
             days = [
-                ScanDay(int(d["day_index"]), bool(d["scan_performed"]), int(d.get("new_post_count", 0)))
+                ScanDay(d["day_index"], d["scan_performed"], d.get("new_post_count", 0))
                 for d in raw["days"]
             ]
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

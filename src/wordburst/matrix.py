@@ -9,8 +9,8 @@ Columnar layout, one row per word (compressed sparse rows):
 
 A word absent on a day has no cell, and every word has at least one.
 The matrix is frozen, arrays included.  This module is the only one that
-builds or indexes the layout; stages read it through the views below
-(totals, gaps, dense blocks) and vectorise over those.
+builds or indexes the layout; stages address words by row and read
+them through the views below (totals, gaps, dense blocks) in bulk.
 
 Serialized form (UTF-8, one word per line, words sorted)::
 
@@ -95,9 +95,16 @@ class WordDayMatrix:
     def vocabulary_size(self) -> int:
         return len(self.words)
 
+    def row(self, word: str) -> int:
+        """Row of ``word``; KeyError for a word not in the matrix."""
+        r = bisect_left(self.words, word)
+        if r == len(self.words) or self.words[r] != word:
+            raise KeyError(word)
+        return r
+
     def total(self, word: str) -> int:
         """Total occurrences of ``word`` over the whole horizon."""
-        return sum(self.counts[self._cells([word])[0]].tolist())
+        return sum(self.counts[self._cells([self.row(word)])[0]].tolist())
 
     def totals(self) -> np.ndarray:
         """Total occurrences of every word, in row order; raises
@@ -112,19 +119,19 @@ class WordDayMatrix:
 
     def series(self, word: str) -> dict[int, int]:
         """``{day: count}`` of one word."""
-        cells = self._cells([word])[0]
+        cells = self._cells([self.row(word)])[0]
         return dict(zip(self.days[cells].tolist(), self.counts[cells].tolist()))
 
-    def gaps(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Waiting times of ``words``: (number of gaps per word, all gaps word
-        after word).  A gap is the day difference between consecutive cells
-        of one word; multiplicity within a day plays no part."""
-        cells, lengths = self._cells(words)
+    def gaps(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Waiting times of the words in ``rows``: (number of gaps per row, all
+        gaps row after row).  A gap is the day difference between consecutive
+        cells of one row; multiplicity within a day plays no part."""
+        cells, lengths = self._cells(rows)
         return lengths - 1, np.delete(np.diff(self.days[cells]), np.cumsum(lengths)[:-1] - 1)
 
-    def dense_block(self, words: Sequence[str]) -> np.ndarray:
-        """(len(words) x horizon) day counts of ``words``, zero days included."""
-        cells, lengths = self._cells(words)
+    def dense_block(self, rows: Sequence[int]) -> np.ndarray:
+        """(len(rows) x horizon) day counts of the words in ``rows``, zero days included."""
+        cells, lengths = self._cells(rows)
         block = np.zeros((lengths.size, self.horizon), dtype=np.int64)
         block[np.repeat(np.arange(lengths.size), lengths), self.days[cells]] = self.counts[cells]
         return block
@@ -181,13 +188,9 @@ class WordDayMatrix:
             return row, f"day {self.days[cell]} outside horizon"
         return row, f"count {self.counts[cell]} < 1"
 
-    def _cells(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the cells of ``words``, word after word, and each
-        word's number of cells; KeyError for a word not in the matrix."""
-        rows = np.array([bisect_left(self.words, w) for w in words], dtype=np.intp)
-        for r, w in zip(rows.tolist(), words):
-            if r == len(self.words) or self.words[r] != w:
-                raise KeyError(w)
+    def _cells(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the cells of ``rows``, row after row, and each row's number of cells."""
+        rows = np.asarray(rows, dtype=np.intp)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         out_starts = np.cumsum(lengths) - lengths

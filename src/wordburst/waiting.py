@@ -16,7 +16,7 @@ R(t) = P(tau >= t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,12 +38,7 @@ def waiting_times(series: Mapping[int, int], horizon: int) -> np.ndarray:
     within a day is ignored.  A word with fewer than two event-days
     yields an empty sample.
     """
-    return pooled_waiting_times([""], WordDayMatrix.from_mapping(horizon, {"": series}))
-
-
-def pooled_waiting_times(words: Iterable[str], matrix: WordDayMatrix) -> np.ndarray:
-    """Concatenated waiting times of ``words``, in the given word order."""
-    return matrix.gaps(list(words))[1]
+    return WordDayMatrix.from_mapping(horizon, {"": series}).gaps([0])[1]
 
 
 @dataclass
@@ -81,7 +76,7 @@ def ensemble_distribution(ensemble: Ensemble, matrix: WordDayMatrix) -> WaitingT
     """Pooled waiting-time distribution of one frequency class."""
     if ensemble.k >= matrix.horizon:
         raise ValueError(f"class k={ensemble.k} is not sparse for horizon {matrix.horizon}")
-    taus = pooled_waiting_times(ensemble.words, matrix)
+    taus = matrix.gaps(ensemble.rows)[1]
     if taus.size == 0:
         raise EmptySampleError(f"class k={ensemble.k} has no waiting times")
     return distribution_from_sample(taus, matrix.horizon, k=ensemble.k)
@@ -97,7 +92,7 @@ def aggregate_distribution(index: EnsembleIndex, matrix: WordDayMatrix) -> Waiti
     dilute = select_dilute(index)
     if not dilute:
         raise EmptySampleError("no sparse classes to aggregate")
-    taus = pooled_waiting_times([w for e in dilute for w in e.words], matrix)
+    taus = matrix.gaps(np.concatenate([e.rows for e in dilute]))[1]
     if taus.size == 0:
         raise EmptySampleError("sparse classes contain no waiting times")
     return distribution_from_sample(taus, matrix.horizon, k=None)
@@ -302,20 +297,17 @@ class ZetaRow:
     sample_count: int
 
 
-def zeta_by_ensemble(index: EnsembleIndex, matrix: WordDayMatrix,
-                     k_lo: int | None = None, k_hi: int | None = None,
+def zeta_by_ensemble(classes: list[Ensemble], matrix: WordDayMatrix,
                      n_boot: int = 200, seed: int = 0) -> list[ZetaRow]:
-    """Per-class dispersion ratio with a bootstrap error over words.
+    """Dispersion ratio of each of ``classes`` with a bootstrap error over words.
 
     Words are resampled with replacement within each class (``n_boot``
     resamples, one deterministic substream per class).
     """
     rows = []
-    for ens in select_dilute(index):
+    for ens in classes:
         k = ens.k
-        if (k_lo is not None and k < k_lo) or (k_hi is not None and k > k_hi):
-            continue
-        n, taus = matrix.gaps(ens.words)
+        n, taus = matrix.gaps(ens.rows)
         if taus.size < 2:
             continue
         z = zeta(taus)

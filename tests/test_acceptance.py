@@ -14,7 +14,7 @@ from scipy import integrate, stats
 from wordburst import stretched
 from wordburst.cli import EXIT_OK, main
 from wordburst.dense import pool_rescaled, poisson_null_ensemble, rescaled_values
-from wordburst.ensembles import build_ensembles
+from wordburst.ensembles import build_ensembles, select_dense, select_dilute
 from wordburst.ingest import ScanDay, ScanLog, clean_missing_scans
 from wordburst.matrix import WordDayMatrix, merge_matrices, save_matrix
 from wordburst.nullmodels import SyntheticCorpusSpec, generate
@@ -124,8 +124,8 @@ def test_criterion_04_mixing_artifact():
     taus = np.repeat(agg.support, np.round(agg.f * agg.sample_count).astype(np.int64))
     mean = taus.mean()
     survival_ratio = np.mean(taus > 5 * mean) / np.exp(-5)
-    rows = [r for r in zeta_by_ensemble(index, m, k_lo=30, k_hi=105, n_boot=0)
-            if r.n_k >= 150]
+    window = [e for e in select_dilute(index) if 30 <= e.k <= 105]
+    rows = [r for r in zeta_by_ensemble(window, m, n_boot=0) if r.n_k >= 150]
     class_ok = bool(rows) and all(abs(r.zeta - 2.0) <= 0.15 for r in rows)
     dt, in_time = elapsed_ok(t0, 60.0)
     ok = z_agg > 2.5 and survival_ratio >= 3.0 and class_ok and in_time
@@ -222,13 +222,13 @@ def test_criterion_08_dense_null_standardization():
             values.append(xt)
     pooled_vals = np.concatenate(values)
     mean, var = pooled_vals.mean(), pooled_vals.var()
-    binned = pool_rescaled(m, 1000, 2000)
+    binned = pool_rescaled(select_dense(build_ensembles(m), 1000, 2000), m)
     widths = np.diff(binned.bin_edges)
     bmean = np.sum(binned.bin_centers * binned.density * widths)
     bvar = np.sum(binned.bin_centers**2 * binned.density * widths) - bmean**2
 
     null = poisson_null_ensemble(1000, HORIZON, 500, seed=108)
-    xs = null.dense_block(sorted(null.words)).ravel()
+    xs = null.dense_block(np.arange(null.vocabulary_size)).ravel()
     law = stats.binom(1000, 1 / HORIZON)
     observed = np.bincount(xs)
     cells_obs, cells_exp = [], []
@@ -260,12 +260,12 @@ def test_criterion_08_dense_null_standardization():
 def test_criterion_09_bursty_tail_direction():
     ks = [1000 + 9 * i for i in range(112)]  # spread over [1000, 2000]
     bursty = burst_matrix(ks, HORIZON, n_days=10, seed=109)
-    pooled_b = pool_rescaled(bursty, 1000, 2000)
+    pooled_b = pool_rescaled(select_dense(build_ensembles(bursty), 1000, 2000), bursty)
     null = merge_matrices(
         [poisson_null_ensemble(int(k), HORIZON, 1, seed=109_000 + i, name_prefix=f"n{i}_")
          for i, k in enumerate(ks)]
     )
-    pooled_n = pool_rescaled(null, 1000, 2000)
+    pooled_n = pool_rescaled(select_dense(build_ensembles(null), 1000, 2000), null)
     tail_b = pooled_b.tail_mass(3.0)
     tail_n = pooled_n.tail_mass(3.0)
     ok = tail_b > tail_n

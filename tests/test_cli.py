@@ -12,7 +12,7 @@ import pytest
 
 from wordburst import rankstats
 from wordburst.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from wordburst.matrix import load_matrix, save_matrix
+from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
 
 from conftest import build_matrix
 
@@ -253,6 +253,19 @@ class TestAnalyzeDense:
         assert sidecar["seed"] == 3
         assert sidecar["word_count"] == 80
 
+    def test_partitions_input_and_null_once_each(self, tmp_path, monkeypatch):
+        path = self.make_dense_matrix(tmp_path)
+        calls = []
+        totals = WordDayMatrix.totals
+
+        def counted(matrix):
+            calls.append(matrix.words[0])
+            return totals(matrix)
+
+        monkeypatch.setattr(WordDayMatrix, "totals", counted)
+        assert main(["analyze", "--input", str(path), "--mode", "dense", "--output", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == ["w0000", "null_w0000"]
+
     def test_empty_range_warns_and_succeeds(self, tmp_path, capsys):
         save_matrix(build_matrix({"w": {0: 3}}, horizon=5), tmp_path / "m.tsv")
         out = tmp_path / "out"
@@ -279,6 +292,21 @@ class TestAnalyzeDense:
               "--emit-plots", "--output", str(out)])
         plot = (out / "plot_xtilde.csv").read_text(encoding="utf-8")
         assert plot.startswith("# xtilde empirical null\n")
+
+
+# scan-log cases: (day entry, field, a JSON value of the wrong type that int() or bool() would coerce)
+SCAN_LOG_FIELDS = {
+    "scan-log-performed-string": (1, "scan_performed", "false"),
+    "scan-log-performed-no": (1, "scan_performed", "no"),
+    "scan-log-performed-null": (1, "scan_performed", None),
+    "scan-log-performed-list": (1, "scan_performed", []),
+    "scan-log-performed-zero": (1, "scan_performed", 0),
+    "scan-log-day-float": (0, "day_index", 0.9),
+    "scan-log-day-bool": (1, "day_index", True),
+    "scan-log-day-string": (0, "day_index", "0"),
+    "scan-log-count-float": (1, "new_post_count", 2.5),
+    "scan-log-count-bool": (1, "new_post_count", True),
+}
 
 
 class TestExitCodes:
@@ -336,6 +364,7 @@ class TestExitCodes:
         ("matrix-negative-cell", EXIT_DATA),
         ("matrix-cell-2^63", EXIT_DATA),
         ("k-max-below-dense-default", EXIT_USAGE),
+        *((case, EXIT_DATA) for case in SCAN_LOG_FIELDS),
     ])
     def test_bad_input_gives_one_line_and_exit_code(self, tmp_path, capsys, case, expected):
         corpus = tmp_path / "corpus.txt"
@@ -345,9 +374,12 @@ class TestExitCodes:
         save_matrix(build_matrix({"w": {0: 1, 2: 1}}, horizon=3), matrix)
         argv = ["analyze", "--input", str(matrix), "--mode", "dilute"]
         if case.startswith("scan-log"):
-            days = [0, 2] if case == "scan-log-not-contiguous" else [0, 1, 2]
-            log.write_text(json.dumps({"days": [{"day_index": d, "scan_performed": True} for d in days]}),
-                           encoding="utf-8")
+            days = {"scan-log-not-contiguous": [0, 2], "scan-log-other-horizon": [0, 1, 2]}.get(case, [0, 1])
+            entries = [{"day_index": d, "scan_performed": True} for d in days]
+            if case in SCAN_LOG_FIELDS:
+                day, field, value = SCAN_LOG_FIELDS[case]
+                entries[day][field] = value
+            log.write_text(json.dumps({"days": entries}), encoding="utf-8")
             argv = ["ingest", "--input", str(corpus), "--scan-log", str(log)]
         elif case == "k-range-inverted":
             argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-min", "5", "--k-max", "2"]
@@ -367,6 +399,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("wordburst: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+        if case in SCAN_LOG_FIELDS:
+            day, field, _ = SCAN_LOG_FIELDS[case]
+            assert f"day {day}: {field}" in err
 
 
 class TestOutputDirectory:

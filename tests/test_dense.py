@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wordburst import dense
 from wordburst.dense import (
     daily_count_distribution,
     matched_poisson_null,
@@ -12,9 +13,15 @@ from wordburst.dense import (
     sigma_scaling,
     write_xtilde_csv,
 )
+from wordburst.ensembles import build_ensembles, select_dense
 from wordburst.matrix import WordDayMatrix, merge_matrices
 
 from conftest import build_matrix, burst_matrix
+
+
+def in_range(m, k_lo, k_hi):
+    """The frequency classes of ``m`` with k in [k_lo, k_hi]."""
+    return select_dense(build_ensembles(m), k_lo, k_hi)
 
 
 class TestDailyCountDistribution:
@@ -63,7 +70,7 @@ class TestRescaledPooling:
 
     def test_null_pool_is_standardized(self):
         m = poisson_null_ensemble(1500, 214, 500, seed=12)
-        pooled = pool_rescaled(m, 1000, 2000)
+        pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         assert pooled.word_count == 500
         assert pooled.skipped_words == 0
         centers = pooled.bin_centers
@@ -75,21 +82,21 @@ class TestRescaledPooling:
 
     def test_density_normalized_over_bins(self):
         m = poisson_null_ensemble(1200, 214, 100, seed=13)
-        pooled = pool_rescaled(m, 1000, 2000)
+        pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         assert np.sum(pooled.density * np.diff(pooled.bin_edges)) == pytest.approx(1.0, rel=1e-9)
 
     def test_bursty_words_fatten_the_right_tail(self):
         horizon, seed = 214, 14
         ks = [1000 + 17 * i for i in range(120)]
         bursty = burst_matrix(ks, horizon, n_days=10, seed=seed)
-        null = matched_poisson_null(bursty, 1000, 2000, seed=seed)
-        tail_b = pool_rescaled(bursty, 1000, 2000).tail_mass(4.0)
-        tail_n = pool_rescaled(null, 1000, 2000).tail_mass(4.0)
+        null = matched_poisson_null(in_range(bursty, 1000, 2000), bursty, seed=seed)
+        tail_b = pool_rescaled(in_range(bursty, 1000, 2000), bursty).tail_mass(4.0)
+        tail_n = pool_rescaled(in_range(null, 1000, 2000), null).tail_mass(4.0)
         assert tail_b > 2 * max(tail_n, 1e-12)
 
     def test_extreme_concentration_is_clipped_and_counted(self):
         m = build_matrix({"spike": {0: 1000, 1: 1}}, horizon=214)
-        pooled = pool_rescaled(m, 900, 1100)
+        pooled = pool_rescaled(in_range(m, 900, 1100), m)
         assert pooled.clipped_count > 0
 
     def test_long_horizon_pools_in_bounded_blocks(self):
@@ -99,7 +106,7 @@ class TestRescaledPooling:
         m = build_matrix({f"w{i:02d}": {i: 400, horizon - 1 - i: 600} for i in range(20)}, horizon=horizon)
         tracemalloc.start()
         try:
-            pooled = pool_rescaled(m, 1000, 1100)
+            pooled = pool_rescaled(in_range(m, 1000, 1100), m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -108,9 +115,31 @@ class TestRescaledPooling:
 
     def test_empty_range(self):
         m = build_matrix({"w": {0: 3}}, horizon=5)
-        pooled = pool_rescaled(m, 1000, 2000)
+        pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         assert pooled.word_count == 0
         assert np.all(pooled.density == 0)
+
+
+class TestBlocks:
+    def test_block_size_changes_no_result(self, monkeypatch):
+        horizon = 30
+        parts = [poisson_null_ensemble(k, horizon, 7, seed=40 + i, name_prefix=f"n{i}_")
+                 for i, k in enumerate([40, 90, 200, 450])]
+        parts.append(burst_matrix([90, 90, 200, 450, 450], horizon, n_days=5, seed=45, name_prefix="b"))
+        parts.append(build_matrix({f"flat{i}": {d: 15 for d in range(horizon)} for i in range(3)}, horizon))
+        m = merge_matrices(parts)  # classes of 3 to 12 words, zero-spread words among them
+        index = build_ensembles(m)
+        classes = [index[k] for k in index.ks()]
+        pooled, table = pool_rescaled(classes, m), sigma_scaling(index, m)
+        assert len(table.rows) == 4 and pooled.skipped_words == 3
+        # one word per block, then blocks of three words that split classes and span them
+        for cells in (horizon, 3 * horizon + 1):
+            monkeypatch.setattr(dense, "BLOCK_CELLS", cells)
+            blocked = pool_rescaled(classes, m)
+            assert np.array_equal(blocked.density, pooled.density)
+            assert (blocked.word_count, blocked.skipped_words, blocked.clipped_count) == (
+                pooled.word_count, pooled.skipped_words, pooled.clipped_count)
+            assert sigma_scaling(index, m) == table
 
 
 class TestPoissonNullEnsemble:
@@ -133,7 +162,7 @@ class TestPoissonNullEnsemble:
     def test_day_counts_match_binomial_oracle(self):
         k, horizon, n_words = 1000, 214, 500
         m = poisson_null_ensemble(k, horizon, n_words, seed=5)
-        xs = m.dense_block(sorted(m.words)).ravel()
+        xs = m.dense_block(np.arange(m.vocabulary_size)).ravel()
         observed = np.bincount(xs)
         law = stats.binom(k, 1 / horizon)
         # group cells so every expected count is >= 5
@@ -161,7 +190,7 @@ class TestPoissonNullEnsemble:
 class TestMatchedNull:
     def test_same_total_multiset(self):
         bursty = burst_matrix([1000, 1500, 1700], 214, n_days=10, seed=6)
-        null = matched_poisson_null(bursty, 1000, 2000, seed=6)
+        null = matched_poisson_null(in_range(bursty, 1000, 2000), bursty, seed=6)
         assert sorted(null.total(w) for w in null.words) == [1000, 1500, 1700]
         assert null.vocabulary_size == 3
 
@@ -176,13 +205,13 @@ class TestSigmaScaling:
 
     def test_null_exponents(self):
         m = self.build_null_by_k([100, 300, 1000, 3000], 80, seed=21)
-        table = sigma_scaling(m)
+        table = sigma_scaling(build_ensembles(m), m)
         assert table.exponent_rel == pytest.approx(-0.5, abs=0.05)
         assert table.exponent_abs == pytest.approx(+0.5, abs=0.05)
 
     def test_doubling_k_shrinks_relative_spread_by_root_two(self):
         m = self.build_null_by_k([200, 400, 2000, 4000], 150, seed=22)
-        table = sigma_scaling(m)
+        table = sigma_scaling(build_ensembles(m), m)
         r = {row.k: row.sigma_rel for row in table.rows}
         assert r[400] / r[200] == pytest.approx(1 / np.sqrt(2), rel=0.03)
         assert r[4000] / r[2000] == pytest.approx(1 / np.sqrt(2), rel=0.03)
@@ -190,20 +219,20 @@ class TestSigmaScaling:
     def test_needs_a_decade(self):
         m = self.build_null_by_k([100, 200, 300], 20, seed=23)
         with pytest.raises(ValueError):
-            sigma_scaling(m)
+            sigma_scaling(build_ensembles(m), m)
 
 
 class TestCsv:
     def test_shared_grid_required(self, tmp_path):
         m = poisson_null_ensemble(1200, 214, 50, seed=31)
-        a = pool_rescaled(m, 1000, 2000)
-        b = pool_rescaled(m, 1000, 2000, bin_width=0.5)
+        a = pool_rescaled(in_range(m, 1000, 2000), m)
+        b = pool_rescaled(in_range(m, 1000, 2000), m, bin_width=0.5)
         with pytest.raises(ValueError):
             write_xtilde_csv(tmp_path / "x.csv", a, b)
 
     def test_written_columns(self, tmp_path):
         m = poisson_null_ensemble(1200, 214, 50, seed=32)
-        pooled = pool_rescaled(m, 1000, 2000)
+        pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         path = tmp_path / "xtilde.csv"
         write_xtilde_csv(path, pooled, pooled)
         header = path.read_text(encoding="utf-8").splitlines()[0]

@@ -1,4 +1,5 @@
 """Frequency-class partition of the vocabulary."""
+import numpy as np
 import pytest
 
 from wordburst.ensembles import build_ensembles, select_dense, select_dilute, write_spectrum_csv
@@ -9,9 +10,9 @@ from conftest import build_matrix
 def test_partition_by_exact_total():
     m = build_matrix({"a": {0: 1}, "b": {3: 1}, "c": {0: 1, 1: 1}}, horizon=5)
     index = build_ensembles(m)
-    assert index[1].words == ("a", "b")
+    assert index[1].rows.tolist() == [m.row("a"), m.row("b")]
     assert index[1].n_k == 2
-    assert index[2].words == ("c",)
+    assert index[2].rows.tolist() == [m.row("c")]
     assert 3 not in index
 
 
@@ -24,7 +25,7 @@ def test_all_distinct_counts_give_singletons():
 def test_single_use_words_form_the_k1_class():
     m = build_matrix({"once": {4: 1}, "twice": {0: 1, 1: 1}}, horizon=6)
     index = build_ensembles(m)
-    assert index[1].words == ("once",)
+    assert index[1].rows.tolist() == [m.row("once")]
 
 
 def test_partition_conserves_mass(tiny_matrix):
@@ -38,7 +39,8 @@ def test_partition_conserves_mass(tiny_matrix):
 def test_rebuild_is_identical(tiny_matrix):
     a = build_ensembles(tiny_matrix)
     b = build_ensembles(tiny_matrix)
-    assert a.by_k == b.by_k
+    assert a.ks() == b.ks()
+    assert all(np.array_equal(a[k].rows, b[k].rows) for k in a.ks())
 
 
 def test_select_dilute_threshold():

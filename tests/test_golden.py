@@ -33,6 +33,8 @@ COMMANDS = (
     ["analyze", "--input", "ing/matrix.tsv", "--mode", "rank", "--output", "ing-rank"],
     ["analyze", "--input", "sim/matrix.tsv", "--mode", "dilute", "--seed", "1",
      "--emit-plots", "--output", "dilute"],
+    ["analyze", "--input", "sim/matrix.tsv", "--mode", "dilute", "--k-min", "3", "--k-max", "20",
+     "--seed", "9", "--output", "dilute-k"],
     ["analyze", "--input", "ing/matrix.tsv", "--mode", "dilute", "--seed", "4", "--output", "ing-dilute"],
     ["analyze", "--input", "sim/matrix.tsv", "--mode", "dense", "--k-min", "100", "--k-max", "1500",
      "--seed", "2", "--emit-plots", "--output", "dense"],
@@ -54,6 +56,15 @@ GOLDEN = {
     "dilute/spectrum.csv": "d122aa7e8f9a04379f1ddf149d5b86c1c234c42ab90a164857a0dd1290c5af50",
     "dilute/waiting.csv": "fe7fe8866234889132abdd6307ccf14f88673096194aa033d3c054102f6ff6dc",
     "dilute/zeta.csv": "c8d9ba0e02bde12a97b5f530eee392564b98051865a563a8c68c3d04c8cf23d4",
+    "dilute-k/aggregate.csv": "8efc8255b163054c58cb0883dcaac4130ce5215ea846b8e8858807a566802dc4",
+    "dilute-k/aggregate_binned.csv": "6133766e53f931c096343e32f3fac14168494624f812c03392246f10f2a08ce8",
+    "dilute-k/fits.json": "a26159dd6c625623b6c840f6ab48c442d41d7d66c7e0c7c5277c1f69ae923ca5",
+    "dilute-k/manifest.json": "78ae36f0800f1ad81735c036813ff6ff6fd49d93fcb0bd2ebfde619b48d44d0c",
+    "dilute-k/meancheck.csv": "426dcaeb46e2d7fc4dcb04428d9f07456010c4d6b8d1dc35d576388db4c9efad",
+    "dilute-k/rescaled.csv": "b20896c4b4490886b6d310ea81c76b6d2a8c71a5443646d70a333a3923a71c71",
+    "dilute-k/spectrum.csv": "d122aa7e8f9a04379f1ddf149d5b86c1c234c42ab90a164857a0dd1290c5af50",
+    "dilute-k/waiting.csv": "2ad1fd9d1e4c9f4d8183525bcaafde0192b0bb156584f5e53f915add247905d4",
+    "dilute-k/zeta.csv": "6860b2195ac37870178105bd4b561e8b74b4b9793bc24aa21117e1b720119571",
     "ing/cleaning_report.json": "dfcd50d042a6e4230c3c1003d9182128dba4db6eb2e423723c7811028454ad54",
     "ing/manifest.json": "43806ce2ccdd13c90bcb679dc1b6a6fd00df11a9f70f01b19b5e86005f1b0d73",
     "ing/matrix.tsv": "8c0fef004e3eb21874e285a7b75a3b90d1dd3d59c14a79f991b318c1818b8793",

@@ -2,6 +2,7 @@
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordburst.ensembles import build_ensembles
@@ -123,8 +124,31 @@ def test_bin_daily_matches_dict_reference(case):
 def test_ensemble_partition_conserves_mass(m):
     index = build_ensembles(m)
     assert sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words)
-    seen = [w for k in index.ks() for w in index[k].words]
+    seen = [r for k in index.ks() for r in index[k].rows.tolist()]
     assert len(seen) == len(set(seen)) == m.vocabulary_size
+
+
+def matrix_and_rows(m):
+    """A matrix with a list of its rows, repeats and any order allowed."""
+    rows = st.lists(st.integers(0, m.vocabulary_size - 1), max_size=12) if m.words else st.just([])
+    return st.tuples(st.just(m), rows)
+
+
+@given(matrices().flatmap(matrix_and_rows), words)
+def test_row_addressed_views_match_each_words_series(case, other):
+    m, rows = case
+    series = [m.series(m.words[r]) for r in rows]
+    n, taus = m.gaps(rows)
+    per_word = [waiting_times(x, m.horizon) for x in series]
+    assert n.tolist() == [t.size for t in per_word]
+    assert taus.tolist() == [t for gaps in per_word for t in gaps.tolist()]
+    block = m.dense_block(rows)
+    assert block.shape == (len(rows), m.horizon)
+    assert block.tolist() == [[x.get(d, 0) for d in range(m.horizon)] for x in series]
+    assert [m.row(w) for w in m.words] == list(range(m.vocabulary_size))
+    for absent in {other, "", "zz"} - set(m.words):
+        with pytest.raises(KeyError):
+            m.row(absent)
 
 
 @given(matrices(), st.lists(st.booleans(), min_size=0, max_size=29))

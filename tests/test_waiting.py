@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from wordburst import stretched
-from wordburst.ensembles import build_ensembles
+from wordburst.ensembles import build_ensembles, select_dilute
 from wordburst.errors import EmptySampleError
 from wordburst.matrix import WordDayMatrix
 from wordburst.waiting import (
@@ -16,7 +16,6 @@ from wordburst.waiting import (
     max_exponential_deviation,
     max_pairwise_deviation,
     mean_waiting_check,
-    pooled_waiting_times,
     rescale_time,
     rescaled_survival,
     risk_function,
@@ -56,7 +55,7 @@ class TestWaitingTimes:
         assert waiting_times({0: 9, 5: 1}, horizon=6).tolist() == [5]
 
     def test_pooled_order_is_word_order(self, tiny_matrix):
-        taus = pooled_waiting_times(["cat", "hat"], tiny_matrix)
+        _, taus = tiny_matrix.gaps([tiny_matrix.row("cat"), tiny_matrix.row("hat")])
         assert taus.tolist() == [3, 4, 1, 4]
 
 
@@ -139,7 +138,7 @@ class TestAggregateMixing:
         index = build_ensembles(m)
         agg = aggregate_distribution(index, m)
         pooled = np.concatenate(
-            [pooled_waiting_times(index[k].words, m) for k in index.ks() if k < m.horizon]
+            [m.gaps(index[k].rows)[1] for k in index.ks() if k < m.horizon]
         )
         np.testing.assert_allclose(agg.f, distribution_from_sample(pooled, m.horizon).f)
 
@@ -326,8 +325,8 @@ class TestZetaByEnsemble:
     def test_rows_and_determinism(self):
         m = bernoulli_matrix(0.08, 800, 300, seed=50)
         index = build_ensembles(m)
-        rows1 = zeta_by_ensemble(index, m, seed=7)
-        rows2 = zeta_by_ensemble(index, m, seed=7)
+        rows1 = zeta_by_ensemble(select_dilute(index), m, seed=7)
+        rows2 = zeta_by_ensemble(select_dilute(index), m, seed=7)
         assert rows1 == rows2
         assert all(r.zeta >= 1 for r in rows1)
         assert all(r.zeta_err >= 0 for r in rows1)
@@ -337,8 +336,11 @@ class TestZetaByEnsemble:
     def test_k_window(self):
         m = bernoulli_matrix(0.08, 400, 300, seed=51)
         index = build_ensembles(m)
-        rows = zeta_by_ensemble(index, m, k_lo=20, k_hi=30, seed=1)
-        assert all(20 <= r.k <= 30 for r in rows)
+        window = [e for e in select_dilute(index) if 20 <= e.k <= 30]
+        rows = zeta_by_ensemble(window, m, seed=1)
+        assert rows and all(20 <= r.k <= 30 for r in rows)
+        # each class draws from its own substream, so a window keeps its rows
+        assert rows == [r for r in zeta_by_ensemble(select_dilute(index), m, seed=1) if 20 <= r.k <= 30]
 
 
 class TestLogBinning:
