@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -127,19 +128,14 @@ def main(argv=None) -> int:
 
 
 def cmd_ingest(args) -> int:
-    outdir = _prepare_outdir(args.output, [args.input, args.scan_log])
-    posts, horizon = read_flat_corpus(args.input)
-    matrix = bin_daily(posts, horizon)
-    if args.scan_log:
-        log = ScanLog.from_json(Path(args.scan_log).read_text(encoding="utf-8"))
-    else:
-        log = ScanLog.all_scanned(horizon)
-    matrix, report = clean_missing_scans(matrix, log)
-    save_matrix(matrix, outdir / "matrix.tsv")
-    _write_text(outdir / "cleaning_report.json", report.to_json() + "\n")
-    _write_manifest(outdir, "ingest", {
-        "input": args.input, "scan_log": args.scan_log,
-    }, ["matrix.tsv", "cleaning_report.json"])
+    log = ScanLog.from_json(Path(args.scan_log).read_text(encoding="utf-8")) if args.scan_log else None
+    with _Outputs(args.output, [args.input, args.scan_log]) as out:
+        posts, horizon = read_flat_corpus(args.input)
+        matrix = bin_daily(posts, horizon)
+        matrix, report = clean_missing_scans(matrix, log or ScanLog.all_scanned(horizon))
+        save_matrix(matrix, out("matrix.tsv"))
+        _write_text(out("cleaning_report.json"), report.to_json() + "\n")
+        _write_manifest(out, "ingest", {"input": args.input, "scan_log": args.scan_log})
     return EXIT_OK
 
 
@@ -150,37 +146,29 @@ def cmd_analyze(args) -> int:
     if args.k_lo is not None and args.k_hi is not None and args.k_lo > args.k_hi:
         print(f"wordburst: error: --k-min {args.k_lo} exceeds --k-max {args.k_hi}", file=sys.stderr)
         return EXIT_USAGE
-    outdir = _prepare_outdir(args.output, [args.input])
-    matrix = load_matrix(args.input)
     config = {
         "input": args.input, "mode": args.mode, "k_min": args.k_min,
         "k_max": args.k_max, "seed": args.seed, "emit_plots": args.emit_plots,
     }
-    if args.mode == "rank":
-        outputs = _analyze_rank(matrix, outdir, args)
-    elif args.mode == "dilute":
-        outputs = _analyze_dilute(matrix, outdir, args)
-    else:
-        outputs = _analyze_dense(matrix, outdir, args)
-    _write_manifest(outdir, "analyze", config, outputs)
+    analyze = {"rank": _analyze_rank, "dilute": _analyze_dilute, "dense": _analyze_dense}[args.mode]
+    with _Outputs(args.output, [args.input]) as out:
+        analyze(load_matrix(args.input), out, args)
+        _write_manifest(out, "analyze", config)
     return EXIT_OK
 
 
-def _analyze_rank(matrix, outdir, args) -> list[str]:
+def _analyze_rank(matrix, out, args) -> None:
     curve = rank_curve(matrix)
     fit = fit_modified_power_law(curve)
     zipf = fit_zipf(curve)
     zm = fit_zipf_mandelbrot(curve)
-    write_rank_csv(outdir / "rank.csv", curve, fit)
-    _write_text(outdir / "fit.json", fit_report_json(fit, zipf, zm) + "\n")
-    outputs = ["rank.csv", "fit.json"]
+    write_rank_csv(out("rank.csv"), curve, fit)
+    _write_text(out("fit.json"), fit_report_json(fit, zipf, zm) + "\n")
     if args.emit_plots:
-        write_table(outdir / "plot_rank.csv", *rank_table(curve, fit), plot=True)
-        outputs.append("plot_rank.csv")
-    return outputs
+        write_table(out("plot_rank.csv"), *rank_table(curve, fit), plot=True)
 
 
-def _analyze_dilute(matrix, outdir, args) -> list[str]:
+def _analyze_dilute(matrix, out, args) -> None:
     index = build_ensembles(matrix)
     selected = [e for e in select_dilute(index)
                 if (args.k_lo is None or e.k >= args.k_lo)
@@ -206,33 +194,29 @@ def _analyze_dilute(matrix, outdir, args) -> list[str]:
         rescaled.append(rescale_time(risk, ens.k))
         checks.append(mean_waiting_check(dist))
         fits[str(ens.k)] = fit_record(risk)
-    write_distribution_csv(outdir / "waiting.csv", entries)
-    write_rescaled_csv(outdir / "rescaled.csv", rescaled)
+    write_distribution_csv(out("waiting.csv"), entries)
+    write_rescaled_csv(out("rescaled.csv"), rescaled)
     rows = zeta_by_ensemble(selected, matrix, seed=args.seed)
-    write_zeta_csv(outdir / "zeta.csv", rows)
-    _write_meancheck_csv(outdir / "meancheck.csv", checks)
-    write_spectrum_csv(index, outdir / "spectrum.csv")
-    outputs = ["waiting.csv", "rescaled.csv", "zeta.csv", "meancheck.csv", "spectrum.csv", "fits.json"]
+    write_zeta_csv(out("zeta.csv"), rows)
+    _write_meancheck_csv(out("meancheck.csv"), checks)
+    write_spectrum_csv(index, out("spectrum.csv"))
     try:
         agg = aggregate_distribution(index, matrix)
         agg_risk = risk_function(agg)
-        write_table(outdir / "aggregate.csv", ["tau", "f", "R"], risk_rows(agg, agg_risk))
+        write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, agg_risk))
         taus = np.repeat(agg.support, np.round(agg.f * agg.sample_count).astype(np.int64))
-        write_table(outdir / "aggregate_binned.csv", ["tau_lo", "tau_hi", "tau_center", "density"],
+        write_table(out("aggregate_binned.csv"), ["tau_lo", "tau_hi", "tau_center", "density"],
                     zip(*log_binned_density(taus)))
-        outputs += ["aggregate.csv", "aggregate_binned.csv"]
         fits["aggregate"] = fit_record(agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
-    _write_text(outdir / "fits.json", json.dumps(fits, indent=2, sort_keys=True) + "\n")
+    _write_text(out("fits.json"), json.dumps(fits, indent=2, sort_keys=True) + "\n")
     if args.emit_plots:
-        write_table(outdir / "plot_rescaled.csv", ["t_R", "R", "k"],
+        write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"],
                     ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
-        outputs.append("plot_rescaled.csv")
-    return sorted(outputs)
 
 
-def _analyze_dense(matrix, outdir, args) -> list[str]:
+def _analyze_dense(matrix, out, args) -> None:
     index = build_ensembles(matrix)
     selected = select_dense(index, args.k_lo, args.k_hi)
     empirical = pool_rescaled(selected, matrix)
@@ -242,7 +226,6 @@ def _analyze_dense(matrix, outdir, args) -> list[str]:
         "word_count": empirical.word_count, "skipped_words": empirical.skipped_words,
         "clipped_values": empirical.clipped_count,
     }
-    outputs = ["xtilde.csv", "dense.json"]
     if empirical.word_count == 0:
         print(f"wordburst: warning: no words with totals in [{args.k_lo}, {args.k_hi}] and nonzero daily spread;"
               f" zero-spread words skipped: {empirical.skipped_words}", file=sys.stderr)
@@ -252,51 +235,70 @@ def _analyze_dense(matrix, outdir, args) -> list[str]:
         null = pool_rescaled(select_dense(build_ensembles(null_matrix), args.k_lo, args.k_hi), null_matrix)
         try:
             table = sigma_scaling(index, matrix)
-            write_sigma_scaling_csv(outdir / "sigma_scaling.csv", table)
+            write_sigma_scaling_csv(out("sigma_scaling.csv"), table)
             sidecar["sigma_exponent_rel"] = table.exponent_rel
             sidecar["sigma_exponent_abs"] = table.exponent_abs
-            outputs.append("sigma_scaling.csv")
         except ValueError as exc:
             sidecar["sigma_scaling_skipped"] = str(exc)
-    write_xtilde_csv(outdir / "xtilde.csv", empirical, null)
-    _write_text(outdir / "dense.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_xtilde_csv(out("xtilde.csv"), empirical, null)
+    _write_text(out("dense.json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     if args.emit_plots:
-        write_table(outdir / "plot_xtilde.csv", ["xtilde", "empirical", "null"],
+        write_table(out("plot_xtilde.csv"), ["xtilde", "empirical", "null"],
                     zip(empirical.bin_centers, empirical.density, null.density), plot=True)
-        outputs.append("plot_xtilde.csv")
-    return sorted(outputs)
 
 
 def cmd_simulate(args) -> int:
-    outdir = _prepare_outdir(args.output, [args.spec])
-    spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
-    matrix = generate(spec)
-    save_matrix(matrix, outdir / "matrix.tsv")
-    _write_text(outdir / "spec.json", spec.to_json() + "\n")
-    _write_manifest(outdir, "simulate", {"spec": json.loads(spec.to_json())}, ["matrix.tsv", "spec.json"])
+    with _Outputs(args.output, [args.spec]) as out:
+        spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+        matrix = generate(spec)
+        save_matrix(matrix, out("matrix.tsv"))
+        _write_text(out("spec.json"), spec.to_json() + "\n")
+        _write_manifest(out, "simulate", {"spec": json.loads(spec.to_json())})
     return EXIT_OK
 
 
-def _prepare_outdir(path, inputs: list) -> Path:
-    """Create the output directory and delete the files its previous
-    manifest lists, so no result of an earlier run outlives this one.
+class _Outputs:
+    """The files one command writes into its output directory.
 
+    Entering creates the directory and deletes the files its previous
+    manifest lists, so no result of an earlier run outlives this one.
+    Every output path is handed out by calling the ledger with its name,
+    which records the name for ``manifest.json``.  If the command fails,
+    leaving deletes the files it handed out before the error propagates.
     Only plain file names inside the directory are deleted, and never one
-    of this command's ``inputs``.
+    of the command's ``inputs``.
     """
-    outdir = Path(path)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        listed = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return outdir
-    keep = {Path(p).resolve() for p in inputs if p}
-    for name in (listed if isinstance(listed, list) else []) + ["manifest.json"]:
+
+    def __init__(self, path, inputs: list):
+        self.dir = Path(path)
+        self.names: list[str] = []
+        self._keep = {Path(p).resolve() for p in inputs if p}
+
+    def __call__(self, name: str) -> Path:
+        self.names.append(name)
+        return self.dir / name
+
+    def __enter__(self) -> "_Outputs":
+        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            listed = json.loads((self.dir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return self
+        for name in (listed if isinstance(listed, list) else []) + ["manifest.json"]:
+            self._remove(name)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for name in self.names:
+                with contextlib.suppress(OSError):  # keep the command's own error
+                    self._remove(name)
+
+    def _remove(self, name) -> None:
         if isinstance(name, str) and name and Path(name).name == name:
-            stale = outdir / name
-            if stale.is_file() and stale.resolve() not in keep:
-                stale.unlink()
-    return outdir
+            path = self.dir / name
+            if path.is_file() and path.resolve() not in self._keep:
+                path.unlink()
 
 
 def _write_text(path, text: str) -> None:
@@ -304,15 +306,15 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, outputs: list[str]) -> None:
+def _write_manifest(out: _Outputs, command: str, config: dict) -> None:
     manifest = {
         "tool": "wordburst",
         "version": __version__,
         "command": command,
         "config": config,
-        "outputs": sorted(outputs),
+        "outputs": sorted(out.names),
     }
-    _write_text(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out.dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _write_meancheck_csv(path, checks) -> None:

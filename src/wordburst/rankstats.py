@@ -67,9 +67,6 @@ class ModifiedPowerLawFit:
         x = np.asarray(x, dtype=float)
         return self.A / _denom(x, self.a1, self.a2, self.gamma1, self.gamma2)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class BaselineFit:
@@ -211,7 +208,7 @@ def write_rank_csv(path, curve: RankCurve, fit: ModifiedPowerLawFit) -> None:
 def fit_report_json(fit: ModifiedPowerLawFit, zipf: BaselineFit, zm: BaselineFit) -> str:
     return json.dumps(
         {
-            **fit.to_dict(),
+            **asdict(fit),
             "baselines": {
                 "zipf": {"A": zipf.A, "lambda": zipf.lam, "residual": zipf.residual},
                 "zipf_mandelbrot": {"A": zm.A, "a": zm.a, "nu": zm.nu, "residual": zm.residual},

@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wordburst.cli as cli
 from wordburst import rankstats
 from wordburst.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
@@ -155,6 +157,20 @@ class TestIngest:
         code = main(["ingest", "--input", str(corpus), "--output", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert "empty corpus" in capsys.readouterr().err
+
+    def test_malformed_scan_log_is_refused_before_the_corpus_is_read(self, tmp_path, capsys, monkeypatch):
+        corpus = self.corpus(tmp_path, ["2005-02-11\tf\tthe cat", "2005-02-12\tf\tthe hat"])
+        log = tmp_path / "scans.json"
+        log.write_text(json.dumps({"days": [{"day_index": 0, "scan_performed": True},
+                                            {"day_index": 1, "scan_performed": "false"}]}), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "read_flat_corpus", calls.append)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(corpus), "--scan-log", str(log), "--output", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("wordburst: ") and err.count("\n") == 1
+        assert calls == []
+        assert not out.exists()
 
     def test_bad_line_diagnoses_position(self, tmp_path, capsys):
         corpus = self.corpus(tmp_path, ["2005-02-11\tf\tok", "broken line"])
@@ -440,6 +456,129 @@ class TestOutputDirectory:
         assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "rank",
                      "--output", str(out)]) == EXIT_OK
         assert outside.read_text(encoding="utf-8") == "precious"
+
+
+@pytest.fixture(scope="module")
+def command_argv(tmp_path_factory):
+    """Each command's arguments, minus ``--output``, on small inputs that
+    take every write branch: the analyses write σ-scaling, the aggregate
+    and plot files."""
+    root = tmp_path_factory.mktemp("inputs")
+    spec = write_spec(root, process="heterogeneous-poisson", horizon=60, n_words=120, rate=None,
+                      rate_distribution="log-uniform", tau_min=0.05, tau_max=300.0)
+    assert main(["simulate", "--spec", str(spec), "--output", str(root / "sim")]) == EXIT_OK
+    corpus = root / "corpus.txt"
+    corpus.write_text("2005-02-11\tf\tthe cat\n2005-02-12\tf\tthe hat\n2005-02-13\tf\ta cat\n",
+                      encoding="utf-8")
+    log = root / "scans.json"
+    log.write_text(json.dumps({"days": [{"day_index": d, "scan_performed": d != 1} for d in range(3)]}),
+                   encoding="utf-8")
+    analyze = ["analyze", "--input", str(root / "sim" / "matrix.tsv"), "--emit-plots", "--mode"]
+    return root, {
+        "simulate": ["simulate", "--spec", str(spec)],
+        "ingest": ["ingest", "--input", str(corpus), "--scan-log", str(log)],
+        "rank": analyze + ["rank"],
+        "dilute": analyze + ["dilute", "--k-max", "3"],  # two classes keep the stretched fits quick
+        "dense": analyze + ["dense", "--k-min", "100", "--k-max", "1500"],
+    }
+
+
+def file_bytes(root: Path) -> dict:
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def listed_files(out: Path) -> list[str]:
+    """The manifest's outputs plus the manifest itself."""
+    return sorted(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"] + ["manifest.json"])
+
+
+class TestFailedRun:
+    """A command that fails after its first write removes every file it wrote."""
+
+    @staticmethod
+    def patch_writers(monkeypatch, calls: list, fail_at=None, error=OSError):
+        """Record each writer call in ``calls`` as ``(name, position)``; the
+        call equal to ``fail_at`` raises ``error`` instead of writing."""
+        writers = [name for name, value in vars(cli).items()
+                   if callable(value) and (re.match(r"_?write_", name) or name == "save_matrix")]
+        assert {"save_matrix", "_write_text", "_write_manifest", "write_table"} <= set(writers)
+        for name in writers:
+            def writer(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                call = (_name, sum(1 for c in calls if c[0] == _name))
+                calls.append(call)
+                if call == fail_at:
+                    raise error(f"injected at {_name} call {call[1]}")
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, writer)
+
+    @pytest.mark.parametrize("command", ["simulate", "ingest", "rank", "dilute", "dense"])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, command_argv, command):
+        root, argvs = command_argv
+        argv = argvs[command]
+        inputs = file_bytes(root)
+        calls = []
+        with monkeypatch.context() as m:
+            self.patch_writers(m, calls)
+            assert main(argv + ["--output", str(tmp_path / "probe")]) == EXIT_OK
+        assert len(calls) >= 4
+        for fail_at in calls:
+            out = tmp_path / f"{fail_at[0]}-{fail_at[1]}"
+            out.mkdir()
+            (out / "notes.txt").write_text("kept", encoding="utf-8")
+            capsys.readouterr()
+            with monkeypatch.context() as m:
+                self.patch_writers(m, [], fail_at)
+                assert main(argv + ["--output", str(out)]) == EXIT_DATA, fail_at
+            assert capsys.readouterr().err == f"wordburst: injected at {fail_at[0]} call {fail_at[1]}\n"
+            assert sorted(p.name for p in out.iterdir()) == ["notes.txt"], fail_at
+            assert main(argv + ["--output", str(out)]) == EXIT_OK
+            assert sorted(p.name for p in out.iterdir()) == sorted(listed_files(out) + ["notes.txt"]), fail_at
+            assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+        assert file_bytes(root) == inputs
+
+    def test_interrupt_cleans_up_and_propagates(self, tmp_path, monkeypatch, command_argv):
+        _, argvs = command_argv
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        self.patch_writers(monkeypatch, [], ("write_zeta_csv", 0), KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(argvs["dilute"] + ["--output", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+
+class TestManifestMatchesFiles:
+    """On every branch of every mode, ``manifest.json`` lists exactly the new files."""
+
+    @pytest.mark.parametrize("mode, plots", [(m, p) for m in ("rank", "dilute", "dense") for p in (False, True)])
+    def test_each_mode_with_and_without_plots(self, tmp_path, command_argv, mode, plots):
+        argv = [a for a in command_argv[1][mode] if plots or a != "--emit-plots"]
+        out = tmp_path / "out"
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == listed_files(out)
+        assert any(n.startswith("plot_") for n in names) == plots
+        assert {"dilute": "aggregate.csv", "dense": "sigma_scaling.csv"}.get(mode, "rank.csv") in names
+
+    @pytest.mark.parametrize("case, absent", [
+        ("dense-sigma-skipped", "sigma_scaling.csv"),
+        ("dense-empty-range", "sigma_scaling.csv"),
+        ("dilute-no-gaps", "aggregate.csv"),
+    ])
+    def test_skipped_branches(self, tmp_path, case, absent):
+        if case == "dense-sigma-skipped":
+            path = TestAnalyzeDense().make_dense_matrix(tmp_path)  # every k in [1000, 2000]: under a decade
+        else:
+            path = tmp_path / "m.tsv"
+            words = {"w": {0: 3}} if case == "dense-empty-range" else {"a": {0: 1}, "b": {2: 1}}
+            save_matrix(build_matrix(words, horizon=5), path)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--mode", case.split("-")[0], "--output", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == listed_files(out)
+        assert absent not in names
+        if case == "dense-empty-range":
+            assert json.loads((out / "dense.json").read_text(encoding="utf-8"))["word_count"] == 0
 
 
 def test_every_traced_stage_is_a_cli_function():
