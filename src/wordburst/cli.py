@@ -31,7 +31,7 @@ from .dense import (
 )
 from .ensembles import build_ensembles, select_dense, select_dilute, write_spectrum_csv
 from .errors import EmptySampleError, FitDidNotConverge, WordburstError
-from .fileio import atomic_writer, write_table
+from .fileio import write_json, write_table
 from .ingest import ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
 from .matrix import load_matrix, save_matrix
 from .nullmodels import SyntheticCorpusSpec, generate
@@ -134,7 +134,7 @@ def cmd_ingest(args) -> int:
         matrix = bin_daily(posts, horizon)
         matrix, report = clean_missing_scans(matrix, log or ScanLog.all_scanned(horizon))
         save_matrix(matrix, out("matrix.tsv"))
-        _write_text(out("cleaning_report.json"), report.to_json() + "\n")
+        write_json(out("cleaning_report.json"), report.to_dict())
         _write_manifest(out, "ingest", {"input": args.input, "scan_log": args.scan_log})
     return EXIT_OK
 
@@ -163,7 +163,7 @@ def _analyze_rank(matrix, out, args) -> None:
     zipf = fit_zipf(curve)
     zm = fit_zipf_mandelbrot(curve)
     write_rank_csv(out("rank.csv"), curve, fit)
-    _write_text(out("fit.json"), fit_report_json(fit, zipf, zm) + "\n")
+    write_json(out("fit.json"), fit_report_json(fit, zipf, zm))
     if args.emit_plots:
         write_table(out("plot_rank.csv"), *rank_table(curve, fit), plot=True)
 
@@ -210,7 +210,7 @@ def _analyze_dilute(matrix, out, args) -> None:
         fits["aggregate"] = fit_record(agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
-    _write_text(out("fits.json"), json.dumps(fits, indent=2, sort_keys=True) + "\n")
+    write_json(out("fits.json"), fits)
     if args.emit_plots:
         write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"],
                     ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
@@ -241,7 +241,7 @@ def _analyze_dense(matrix, out, args) -> None:
         except ValueError as exc:
             sidecar["sigma_scaling_skipped"] = str(exc)
     write_xtilde_csv(out("xtilde.csv"), empirical, null)
-    _write_text(out("dense.json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out("dense.json"), sidecar)
     if args.emit_plots:
         write_table(out("plot_xtilde.csv"), ["xtilde", "empirical", "null"],
                     zip(empirical.bin_centers, empirical.density, null.density), plot=True)
@@ -252,8 +252,8 @@ def cmd_simulate(args) -> int:
         spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
         matrix = generate(spec)
         save_matrix(matrix, out("matrix.tsv"))
-        _write_text(out("spec.json"), spec.to_json() + "\n")
-        _write_manifest(out, "simulate", {"spec": json.loads(spec.to_json())})
+        write_json(out("spec.json"), spec.to_dict())
+        _write_manifest(out, "simulate", {"spec": spec.to_dict()})
     return EXIT_OK
 
 
@@ -301,20 +301,14 @@ class _Outputs:
                 path.unlink()
 
 
-def _write_text(path, text: str) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(text)
-
-
 def _write_manifest(out: _Outputs, command: str, config: dict) -> None:
-    manifest = {
+    write_json(out.dir / "manifest.json", {
         "tool": "wordburst",
         "version": __version__,
         "command": command,
         "config": config,
         "outputs": sorted(out.names),
-    }
-    _write_text(out.dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _write_meancheck_csv(path, checks) -> None:

@@ -1,8 +1,9 @@
-"""Atomic text-file writing and the output table format shared by every emitter."""
+"""Atomic text-file writing and the output table and JSON formats shared by every emitter."""
 from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 import tempfile
 
@@ -42,3 +43,9 @@ def write_table(path, header, rows, plot=False) -> None:
         writer.writerow(["#", *header] if plot else header)
         for row in rows:
             writer.writerow([str(v) if isinstance(v, (int, np.integer)) else f"{v:.12g}" for v in row])
+
+
+def write_json(path, document) -> None:
+    """Write ``document`` as JSON: two-space indent, sorted keys, final newline."""
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")

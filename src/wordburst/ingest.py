@@ -19,7 +19,7 @@ import re
 import xml.etree.ElementTree as ET
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,7 @@ class ScanLog:
             if d.day_index != i:
                 raise CorpusFormatError(f"scan log days must be contiguous from 0, got {d.day_index} at {i}")
             if d.new_post_count < 0:
-                raise CorpusFormatError("new_post_count must be >= 0")
+                raise CorpusFormatError(f"scan log day {i}: new_post_count must be >= 0, got {d.new_post_count}")
 
     @property
     def horizon(self) -> int:
@@ -105,14 +105,8 @@ class ScanLog:
             raise CorpusFormatError(f"bad scan log: {exc}") from exc
         return cls(days)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"days": [
-                {"day_index": d.day_index, "scan_performed": d.scan_performed, "new_post_count": d.new_post_count}
-                for d in self.days
-            ]},
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {"days": [asdict(d) for d in self.days]}
 
 
 @dataclass
@@ -123,16 +117,10 @@ class CleaningReport:
     reasons: dict[int, str]
     retained_horizon: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "removed_days": self.removed_days,
-                "reasons": {str(d): r for d, r in sorted(self.reasons.items())},
-                "retained_horizon": self.retained_horizon,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        """Day keys become strings, so sorted keys order them as text."""
+        return {"removed_days": self.removed_days, "reasons": {str(d): r for d, r in self.reasons.items()},
+                "retained_horizon": self.retained_horizon}
 
 
 def strip_markup(text: str) -> str:

@@ -97,9 +97,8 @@ class SyntheticCorpusSpec:
         if bad:
             raise SpecValidationError(f"invalid generator spec, offending fields: {bad}", fields=bad)
 
-    def to_json(self) -> str:
-        data = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(data, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticCorpusSpec":

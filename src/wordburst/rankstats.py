@@ -11,7 +11,6 @@ measurable by residual comparison alone.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -72,18 +71,11 @@ class ModifiedPowerLawFit:
 class BaselineFit:
     """Power-law count = A * x**-lam, or shifted: A / (1 + a*x)**nu."""
 
-    kind: str
     A: float
     lam: float | None
     a: float | None
     nu: float | None
     residual: float
-
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zipf":
-            return self.A * np.power(x, -self.lam)
-        return self.A / np.power(1.0 + self.a * x, self.nu)
 
 
 def _denom(x, a1, a2, g1, g2):
@@ -165,12 +157,11 @@ def fit_zipf(curve: RankCurve) -> BaselineFit:
     """Straight-line fit in log-log space: count = A * x**-lam."""
     xs, ly = _log_curve(curve)
     if xs.size < 2:
-        return BaselineFit(kind="zipf", A=float(np.exp(ly.mean())), lam=0.0,
-                           a=None, nu=None, residual=0.0)
+        return BaselineFit(A=float(np.exp(ly.mean())), lam=0.0, a=None, nu=None, residual=0.0)
     lx = np.log(xs)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (intercept + slope * lx)
-    return BaselineFit(kind="zipf", A=float(np.exp(intercept)), lam=float(-slope),
+    return BaselineFit(A=float(np.exp(intercept)), lam=float(-slope),
                        a=None, nu=None, residual=float(np.sqrt(np.mean(resid**2))))
 
 
@@ -178,8 +169,7 @@ def fit_zipf_mandelbrot(curve: RankCurve) -> BaselineFit:
     """Shifted power law count = A / (1 + a*x)**nu, amplitude profiled."""
     xs, log_y = _log_curve(curve)
     if xs.size < 3:
-        return BaselineFit(kind="zipf-mandelbrot", A=float(np.exp(log_y.mean())),
-                           lam=None, a=0.0, nu=1.0,
+        return BaselineFit(A=float(np.exp(log_y.mean())), lam=None, a=0.0, nu=1.0,
                            residual=float(np.sqrt(np.mean((log_y - log_y.mean()) ** 2))))
 
     def log_denominator(theta):
@@ -191,7 +181,7 @@ def fit_zipf_mandelbrot(curve: RankCurve) -> BaselineFit:
     starts = ((np.log(0.1), 1.0), (np.log(1.0), 0.8), (np.log(0.01), 1.5))
     best = min(_simplex(log_y, log_denominator, starts), key=lambda s: s.fun)
     la, nu = best.x
-    return BaselineFit(kind="zipf-mandelbrot", A=float(np.exp(np.mean(log_y + log_denominator(best.x)))),
+    return BaselineFit(A=float(np.exp(np.mean(log_y + log_denominator(best.x)))),
                        lam=None, a=float(np.exp(la)), nu=float(nu),
                        residual=float(np.sqrt(best.fun / xs.size)))
 
@@ -205,15 +195,12 @@ def write_rank_csv(path, curve: RankCurve, fit: ModifiedPowerLawFit) -> None:
     write_table(path, *rank_table(curve, fit))
 
 
-def fit_report_json(fit: ModifiedPowerLawFit, zipf: BaselineFit, zm: BaselineFit) -> str:
-    return json.dumps(
-        {
-            **asdict(fit),
-            "baselines": {
-                "zipf": {"A": zipf.A, "lambda": zipf.lam, "residual": zipf.residual},
-                "zipf_mandelbrot": {"A": zm.A, "a": zm.a, "nu": zm.nu, "residual": zm.residual},
-            },
+def fit_report_json(fit: ModifiedPowerLawFit, zipf: BaselineFit, zm: BaselineFit) -> dict:
+    """The ``fit.json`` document: the fit's fields plus both baselines."""
+    return {
+        **asdict(fit),
+        "baselines": {
+            "zipf": {"A": zipf.A, "lambda": zipf.lam, "residual": zipf.residual},
+            "zipf_mandelbrot": {"A": zm.A, "a": zm.a, "nu": zm.nu, "residual": zm.residual},
         },
-        indent=2,
-        sort_keys=True,
-    )
+    }

@@ -23,6 +23,20 @@ def burst_matrix(ks, horizon, n_days, seed, name_prefix="bursty") -> WordDayMatr
     return WordDayMatrix.from_mapping(horizon, words)
 
 
+def exhaust_least_squares(monkeypatch) -> None:
+    """Make every ``scipy.optimize.least_squares`` run report an exhausted
+    budget (status 0) while returning the real solver's result."""
+    from scipy import optimize
+    real = optimize.least_squares
+
+    def exhausted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.status = 0
+        return sol
+
+    monkeypatch.setattr(optimize, "least_squares", exhausted)
+
+
 @pytest.fixture
 def tiny_matrix() -> WordDayMatrix:
     return build_matrix(

@@ -16,7 +16,7 @@ from wordburst import rankstats
 from wordburst.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
 
-from conftest import build_matrix
+from conftest import build_matrix, exhaust_least_squares
 
 
 def write_spec(tmp_path, **kw):
@@ -84,6 +84,7 @@ class TestSimulate:
           "tau_values": [1e-17, 10.0], "weights": [0.5, 0.5]}, "tau_values"),
         ({"horizon": 2, "n_words": 10**30, "seed": 1, "rate": 1e-9}, "n_words"),  # no 32-bit stream index
         ({"n_words": 2**32 + 1}, "n_words"),
+        ({"process": "heterogeneous-poisson", "rate_distribution": "gamma"}, "rate_distribution"),
     ])
     def test_bad_spec_value_gives_one_line(self, tmp_path, capsys, fields, offending):
         spec = write_spec(tmp_path, **fields)
@@ -91,6 +92,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("wordburst: invalid generator spec") and err.count("\n") == 1
         assert repr(offending) in err
+
+    def test_spec_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('[{"process": "poisson"}]', encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--output", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == "wordburst: spec must be a JSON object\n"
 
     def test_missing_spec_fields_are_listed(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -243,6 +250,20 @@ class TestAnalyzeDilute:
         ks = {int(r["k"]) for r in read_csv(out / "zeta.csv")}
         assert ks and all(15 <= k <= 25 for k in ks)
 
+    def test_unconverged_fits_are_recorded_as_skipped(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path, horizon=400, n_words=800, rate=0.05, seed=9)
+        main(["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")])
+        argv = ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dilute", "--output"]
+        assert main(argv + [str(tmp_path / "ok")]) == EXIT_OK
+        exhaust_least_squares(monkeypatch)
+        assert main(argv + [str(tmp_path / "out")]) == EXIT_OK
+        fits = json.loads((tmp_path / "ok" / "fits.json").read_text(encoding="utf-8"))
+        fitted = [k for k, record in fits.items() if "skipped" not in record]
+        assert "aggregate" in fitted and len(fitted) > 1
+        skipped = {"skipped": "no optimizer start converged within its budget"}
+        fits.update((k, skipped) for k in fitted)
+        assert json.loads((tmp_path / "out" / "fits.json").read_text(encoding="utf-8")) == fits
+
 
 class TestAnalyzeDense:
     def make_dense_matrix(self, tmp_path, seed=11):
@@ -310,7 +331,8 @@ class TestAnalyzeDense:
         assert plot.startswith("# xtilde empirical null\n")
 
 
-# scan-log cases: (day entry, field, a JSON value of the wrong type that int() or bool() would coerce)
+# scan-log cases: (day entry, field, a JSON value of the wrong type that int() or bool() would coerce,
+# or out of range)
 SCAN_LOG_FIELDS = {
     "scan-log-performed-string": (1, "scan_performed", "false"),
     "scan-log-performed-no": (1, "scan_performed", "no"),
@@ -322,6 +344,7 @@ SCAN_LOG_FIELDS = {
     "scan-log-day-string": (0, "day_index", "0"),
     "scan-log-count-float": (1, "new_post_count", 2.5),
     "scan-log-count-bool": (1, "new_post_count", True),
+    "scan-log-count-negative": (1, "new_post_count", -1),
 }
 
 
@@ -501,7 +524,7 @@ class TestFailedRun:
         call equal to ``fail_at`` raises ``error`` instead of writing."""
         writers = [name for name, value in vars(cli).items()
                    if callable(value) and (re.match(r"_?write_", name) or name == "save_matrix")]
-        assert {"save_matrix", "_write_text", "_write_manifest", "write_table"} <= set(writers)
+        assert {"save_matrix", "write_json", "_write_manifest", "write_table"} <= set(writers)
         for name in writers:
             def writer(*args, _name=name, _real=getattr(cli, name), **kwargs):
                 call = (_name, sum(1 for c in calls if c[0] == _name))

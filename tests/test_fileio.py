@@ -1,11 +1,13 @@
-"""Atomic write-then-rename behaviour."""
+"""Atomic write-then-rename behaviour and the shared output formats."""
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wordburst.fileio import atomic_writer, write_table
+import wordburst
+from wordburst.fileio import atomic_writer, write_json, write_table
 
 
 def test_successful_write_replaces_target(tmp_path):
@@ -59,3 +61,17 @@ def test_table_formats(tmp_path):
         b"a,b,c\r\n1000000000000000,0.1,0.1\r\n9223372036854775807,0.333333333333,0.333333333333\r\n")
     assert (tmp_path / "p.csv").read_bytes() == (
         b"# a b c\n1000000000000000 0.1 0.1\n9223372036854775807 0.333333333333 0.333333333333\n")
+
+
+def test_json_format(tmp_path):
+    write_json(tmp_path / "d.json", {"b": [1, 0.1], "a": {"10": None, "9": "x"}})
+    assert (tmp_path / "d.json").read_bytes() == (
+        b'{\n  "a": {\n    "10": null,\n    "9": "x"\n  },\n  "b": [\n    1,\n    0.1\n  ]\n}\n')
+
+
+def test_output_encoding_lives_in_fileio():
+    """Tables and JSON documents are encoded only by ``write_table`` and ``write_json``."""
+    for path in Path(wordburst.__file__).parent.glob("*.py"):
+        if path.name != "fileio.py":
+            text = path.read_text(encoding="utf-8")
+            assert [m for m in ("json.dumps", "import csv", "12g") if m in text] == [], path.name

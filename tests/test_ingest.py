@@ -1,5 +1,6 @@
 """Ingestion pipeline: feed parsing, diffing, tokenization, binning, cleaning."""
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from wordburst.ingest import (
     strip_markup,
     tokenize,
 )
-from wordburst.matrix import load_matrix, save_matrix
+from wordburst.matrix import WordDayMatrix, load_matrix, merge_matrices, save_matrix
 
 from conftest import build_matrix
 
@@ -227,7 +228,7 @@ class TestScanLog:
 
     def test_json_round_trip(self):
         log = ScanLog([ScanDay(0, True, 5), ScanDay(1, False, 0), ScanDay(2, True, 9)])
-        again = ScanLog.from_json(log.to_json())
+        again = ScanLog.from_json(json.dumps(log.to_dict()))
         assert again == log
 
     def test_bad_json(self):
@@ -262,6 +263,12 @@ class TestFlatCorpus:
             read_flat_corpus(path)
         assert ":2:" in str(err.value)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        lines = ["2005-02-11\tf\tthe cat", "2005-02-13\tg\tthe hat"]
+        plain = bin_daily(*read_flat_corpus(self.write(tmp_path, "\n".join(lines) + "\n")))
+        spaced = bin_daily(*read_flat_corpus(self.write(tmp_path, "\n" + "\n\n".join(lines) + "\n\n")))
+        assert spaced == plain
+
     def test_bad_date_reports_position(self, tmp_path):
         path = self.write(tmp_path, "02/11/2005\tf\ttext\n")
         with pytest.raises(CorpusFormatError) as err:
@@ -283,6 +290,29 @@ class TestSnapshotStore:
         store.save("f", {"b", "a", "c"})
         content = (store._path("f")).read_text(encoding="utf-8")
         assert content == "a\nb\nc\n"
+
+
+class TestMatrixConstruction:
+    @pytest.mark.parametrize("horizon, counts, message", [
+        (3, {"w": {}}, "word 'w': no day entries"),
+        (3, {"w": {1: 0}}, "word 'w': count 0 < 1"),
+        (0, {}, "horizon must be >= 1"),
+    ])
+    def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
+        with pytest.raises(ValueError) as err:
+            WordDayMatrix.from_mapping(horizon, counts)
+        assert str(err.value) == message
+
+    def test_merge_rejects_nothing_other_horizon_and_overlap(self):
+        a = build_matrix({"w": {0: 1}}, horizon=3)
+        for matrices, message in [
+            ([], "nothing to merge"),
+            ([a, build_matrix({"v": {0: 1}}, horizon=4)], "horizon mismatch: 4 != 3"),
+            ([a, build_matrix({"v": {1: 1}, "w": {2: 1}}, horizon=3)], "vocabulary overlap on merge: ['w']"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                merge_matrices(matrices)
+            assert str(err.value) == message
 
 
 class TestMatrixSerialization:

@@ -1,4 +1,6 @@
 """Synthetic corpus generators: determinism, laws, special cases."""
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -28,7 +30,7 @@ class TestSpecValidation:
             process="heterogeneous-poisson", horizon=214, n_words=10, seed=3,
             rate_distribution="two-point", tau_values=(1.0, 10.0), weights=(0.5, 0.5),
         )
-        again = SyntheticCorpusSpec.from_json(spec.to_json())
+        again = SyntheticCorpusSpec.from_json(json.dumps(spec.to_dict()))
         assert again == spec
 
     def test_unknown_fields_listed(self):

@@ -4,7 +4,7 @@ import pytest
 
 from wordburst import stretched
 from wordburst.ensembles import build_ensembles, select_dilute
-from wordburst.errors import EmptySampleError
+from wordburst.errors import EmptySampleError, FitDidNotConverge
 from wordburst.matrix import WordDayMatrix
 from wordburst.waiting import (
     MeanWaitingCheck,
@@ -24,7 +24,7 @@ from wordburst.waiting import (
     zeta_by_ensemble,
 )
 
-from conftest import build_matrix
+from conftest import build_matrix, exhaust_least_squares
 
 
 def bernoulli_matrix(p: float, n_words: int, horizon: int, seed: int) -> WordDayMatrix:
@@ -249,6 +249,15 @@ class TestStretchedFit:
         assert fit.C == pytest.approx(stretched.normalization(fit.a, fit.nu), rel=1e-12)
         assert stretched.normalization(fit.a, 0.5) == pytest.approx(fit.a / 2, rel=1e-12)
         assert fit.C == pytest.approx(fit.a / 2, rel=0.08)  # since nu is near 1/2
+
+    def test_no_converged_start_raises_with_best_iterate(self, monkeypatch):
+        taus = self.day_binned_sample(0.1, 0.5, 20_000, seed=24)
+        risk = risk_function(distribution_from_sample(taus, horizon=int(taus.max()) + 2))
+        fit = fit_stretched_exponential(risk)
+        exhaust_least_squares(monkeypatch)
+        with pytest.raises(FitDidNotConverge) as info:
+            fit_stretched_exponential(risk)
+        assert (info.value.best.a, info.value.best.nu) == (fit.a, fit.nu)
 
     def test_too_few_points_rejected(self):
         dist = distribution_from_sample(np.array([3, 3, 3, 4]), horizon=10)
