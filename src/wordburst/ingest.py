@@ -35,6 +35,8 @@ from .matrix import WordDayMatrix
 
 _TAG_RE = re.compile(r"<!--.*?-->|<[^>]*>", re.DOTALL)
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII letters and digits lowered, other bytes spaces: on ASCII text its split gives _TOKEN_RE's tokens
+_TOKEN_TABLE = bytes(ord(chr(c).lower()) if chr(c).isascii() and chr(c).isalnum() else 32 for c in range(256))
 _WS_RE = re.compile(r"\s+")
 
 
@@ -134,12 +136,15 @@ def tokenize(text: str) -> list[str]:
     """Split text into lowercased words.
 
     Markup is removed first; anything that is not a Unicode letter or
-    digit separates tokens; empty tokens are dropped.
+    digit separates tokens; empty tokens are dropped.  Text that is ASCII
+    after decoding (``&nbsp;`` as a space) is cut through one byte table.
     """
-    # strip_markup without its whitespace collapse: whitespace only ever
-    # separates tokens.  Each token is lowered on its own: lowering the
-    # whole text changes some tokens ('İ' splits, 'Σ' follows its neighbours).
-    return list(map(str.lower, _TOKEN_RE.findall(html.unescape(_TAG_RE.sub(" ", text)))))
+    # strip_markup without its whitespace collapse: whitespace only ever separates tokens.
+    # Outside ASCII each token is lowered alone: lowering all the text splits 'İ', changes some 'Σ'.
+    text = html.unescape(_TAG_RE.sub(" ", text)).replace("\xa0", " ")
+    if text.isascii():
+        return text.encode().translate(_TOKEN_TABLE).decode().split()
+    return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
 def content_guid(title: str, description: str) -> str:

@@ -29,6 +29,7 @@ from .seeding import substream
 
 RISK_FLOOR = 1e-4  # risk points at or below this are left out of the stretched fit
 T_R_MAX = 3.0  # rescaled-time cut of the collapse curves
+BOOT_BLOCK_PICKS = 1 << 20  # words drawn per block of zeta resamples: 8 MB of indices
 
 
 def waiting_times(series: Mapping[int, int], horizon: int) -> np.ndarray:
@@ -320,11 +321,13 @@ def zeta_by_ensemble(classes: list[Ensemble], matrix: WordDayMatrix,
         n_words = sums.shape[1]
         if n_words > 1 and n_boot > 0:
             rng = substream(seed, k)
-            zs = np.empty(n_boot)
-            for b in range(n_boot):
-                count, s1, s2 = sums[:, rng.integers(0, n_words, size=n_words)].sum(axis=1)
-                zs[b] = (s2 / count) / (s1 / count) ** 2 if count >= 2 else np.nan
-            err = float(np.nanstd(zs))
+            zs = []
+            block = max(1, BOOT_BLOCK_PICKS // n_words)  # resamples per draw, same picks as one by one
+            for start in range(0, n_boot, block):
+                pick = rng.integers(0, n_words, size=(min(block, n_boot - start), n_words))
+                count, s1, s2 = (s[pick].sum(axis=1).tolist() for s in sums)
+                zs += [(b / c) / (a / c) ** 2 for c, a, b in zip(count, s1, s2)]  # count >= n_words >= 2
+            err = float(np.std(zs))
         rows.append(ZetaRow(k=k, zeta=z.zeta, zeta_err=err, n_k=ens.n_k, sample_count=z.sample_count))
     return rows
 

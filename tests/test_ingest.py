@@ -138,6 +138,15 @@ class TestTokenize:
         # lowercasing, so the mark stays inside the token
         assert tokenize("İstanbul") == ["i̇stanbul"]
 
+    @pytest.mark.parametrize("text, tokens", [
+        ("A&nbsp;B", ["a", "b"]),  # &nbsp; decodes to a space, so the text stays ASCII
+        ("x\x1fy", ["x", "y"]),
+        ("MP3_Player", ["mp3", "player"]),
+        ("a&#931;b", ["aσb"]),  # decodes to non-ASCII: the Unicode rule still holds
+    ])
+    def test_ascii_byte_table_edges(self, text, tokens):
+        assert tokenize(text) == tokens
+
     def test_strip_markup_drops_comments(self):
         assert strip_markup("a <!-- hidden <b> --> b") == "a b"
 

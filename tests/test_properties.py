@@ -91,6 +91,13 @@ _post_pieces = st.sampled_from([
     "&amp;", "&quot;", "&nbsp;", "&#931;", "&#x130;", "&lt;b&gt;", "&Sigma;", "&",
 ])
 post_texts = st.lists(st.one_of(_post_pieces, st.text(max_size=4)), max_size=25).map("".join)
+# posts that are mostly ASCII after decoding, so that tokenize takes its byte
+# table: every code point below 128 ('\x0b', '\x1c'-'\x1f', '\x7f' and '_'
+# among them), and entities decoding to a space, a letter and, rarely, to
+# 'Σ' or U+FFFD
+_ascii_text = st.text(alphabet=st.characters(max_codepoint=127), max_size=6)
+_entities = st.sampled_from(["&nbsp;", "&#65;"] * 8 + ["&#931;", "&#0;"])
+ascii_post_texts = st.lists(st.one_of(_ascii_text, _ascii_text, _entities), max_size=12).map("".join)
 
 
 def _reference_tokens(text):
@@ -107,14 +114,30 @@ def _reference_bin_daily(posts, horizon):
     return WordDayMatrix.from_mapping(horizon, counts)
 
 
+def _binning_cases(texts):
+    return st.integers(1, 12).flatmap(lambda horizon: st.tuples(
+        st.just(horizon), st.lists(st.tuples(st.integers(0, horizon - 1), texts), max_size=15)))
+
+
 @given(post_texts)
 def test_tokenize_is_findall_over_strip_markup(text):
     assert tokenize(text) == _reference_tokens(text)
 
 
-@given(st.integers(1, 12).flatmap(lambda horizon: st.tuples(
-    st.just(horizon), st.lists(st.tuples(st.integers(0, horizon - 1), post_texts), max_size=15))))
+@given(ascii_post_texts)
+def test_ascii_tokenize_is_findall_over_strip_markup(text):
+    assert tokenize(text) == _reference_tokens(text)
+
+
+@given(_binning_cases(post_texts))
 def test_bin_daily_matches_dict_reference(case):
+    horizon, raw = case
+    posts = [Post("f", day, text) for day, text in raw]
+    assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)
+
+
+@given(_binning_cases(ascii_post_texts))
+def test_ascii_bin_daily_matches_dict_reference(case):
     horizon, raw = case
     posts = [Post("f", day, text) for day, text in raw]
     assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)

@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
-from wordburst import stretched
+from wordburst import stretched, waiting
 from wordburst.ensembles import build_ensembles, select_dilute
 from wordburst.errors import EmptySampleError, FitDidNotConverge
 from wordburst.matrix import WordDayMatrix
+from wordburst.seeding import substream
 from wordburst.waiting import (
     MeanWaitingCheck,
+    ZetaRow,
     aggregate_distribution,
     distribution_from_sample,
     ensemble_distribution,
@@ -350,6 +352,53 @@ class TestZetaByEnsemble:
         assert rows and all(20 <= r.k <= 30 for r in rows)
         # each class draws from its own substream, so a window keeps its rows
         assert rows == [r for r in zeta_by_ensemble(select_dilute(index), m, seed=1) if 20 <= r.k <= 30]
+
+
+def per_resample_zeta_rows(classes, m, n_boot=200, seed=0):
+    """Reference: the bootstrap drawn one resample at a time."""
+    rows = []
+    for ens in classes:
+        n, taus = m.gaps(ens.rows)
+        if taus.size < 2:
+            continue
+        z = zeta(taus)
+        err = 0.0
+        word = np.repeat(np.arange(n.size), n)
+        sums = np.stack([n, np.bincount(word, taus, n.size), np.bincount(word, taus**2, n.size)])[:, n > 0]
+        n_words = sums.shape[1]
+        if n_words > 1 and n_boot > 0:
+            rng = substream(seed, ens.k)
+            zs = np.empty(n_boot)
+            for b in range(n_boot):
+                count, s1, s2 = sums[:, rng.integers(0, n_words, size=n_words)].sum(axis=1)
+                zs[b] = (s2 / count) / (s1 / count) ** 2 if count >= 2 else np.nan
+            err = float(np.nanstd(zs))
+        rows.append(ZetaRow(k=ens.k, zeta=z.zeta, zeta_err=err, n_k=ens.n_k, sample_count=z.sample_count))
+    return rows
+
+
+class TestZetaBlocks:
+    def test_blocks_equal_one_draw_per_resample(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        counts = {}
+        # (k, words): odd and even word counts and one word alone
+        for k, n_words in [(3, 9), (5, 1), (6, 8), (9, 13), (12, 40)]:
+            for i in range(n_words):
+                days, per_day = np.unique(rng.integers(0, 60, size=k), return_counts=True)
+                counts[f"k{k}w{i}"] = dict(zip(days.tolist(), per_day.tolist()))
+        counts["k3gapless"] = {4: 3}  # in its class, but not among the words resampled
+        m = build_matrix(counts, 60)
+        classes = select_dilute(build_ensembles(m))
+        assert [e.n_k for e in classes] == [10, 1, 8, 13, 40]
+        for seed in (0, 7):
+            expected = per_resample_zeta_rows(classes, m, seed=seed)
+            assert [r.k for r in expected] == [3, 5, 6, 9, 12]
+            assert zeta_by_ensemble(classes, m, seed=seed) == expected
+            # one resample per block, then blocks of 97 // n_words resamples, which do not divide 200
+            for picks in (1, 97):
+                monkeypatch.setattr(waiting, "BOOT_BLOCK_PICKS", picks)
+                assert zeta_by_ensemble(classes, m, seed=seed) == expected
+            monkeypatch.undo()
 
 
 class TestLogBinning:
