@@ -1,10 +1,10 @@
 """Word-occurrence time statistics for dated text corpora.
 
-Ingests RSS scans or flat dated corpora into a word-by-day matrix, then
-measures rank-frequency structure, waiting-time distributions per
-frequency class, burstiness dispersion ratios, and dense-regime daily
-count distributions, with seeded synthetic generators for every
-reference process the measurements are compared against.
+Ingests a flat dated corpus into a word-by-day matrix, then measures
+rank-frequency structure, waiting-time distributions per frequency
+class, burstiness dispersion ratios, and dense-regime daily count
+distributions, with seeded synthetic generators for every reference
+process the measurements are compared against.
 """
 
 __version__ = "0.1.0"
@@ -12,14 +12,11 @@ __version__ = "0.1.0"
 from .ensembles import EnsembleIndex, build_ensembles, select_dense, select_dilute
 from .ingest import (
     CleaningReport,
-    FeedItem,
     Post,
     ScanDay,
     ScanLog,
     bin_daily,
     clean_missing_scans,
-    diff_scan,
-    parse_rss,
     read_flat_corpus,
     tokenize,
 )
@@ -50,14 +47,11 @@ __all__ = [
     "select_dense",
     "select_dilute",
     "CleaningReport",
-    "FeedItem",
     "Post",
     "ScanDay",
     "ScanLog",
     "bin_daily",
     "clean_missing_scans",
-    "diff_scan",
-    "parse_rss",
     "read_flat_corpus",
     "tokenize",
     "WordDayMatrix",

@@ -204,9 +204,8 @@ def _analyze_dilute(matrix, out, args) -> None:
         agg = aggregate_distribution(index, matrix)
         agg_risk = risk_function(agg)
         write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, agg_risk))
-        taus = np.repeat(agg.support, np.round(agg.f * agg.sample_count).astype(np.int64))
         write_table(out("aggregate_binned.csv"), ["tau_lo", "tau_hi", "tau_center", "density"],
-                    zip(*log_binned_density(taus)))
+                    zip(*log_binned_density(np.repeat(agg.support, agg.counts))))
         fits["aggregate"] = fit_record(agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)

@@ -5,22 +5,6 @@ class WordburstError(Exception):
     """Base class for all package errors."""
 
 
-class FeedParseError(WordburstError):
-    """Raised when a feed document is not well-formed XML.
-
-    ``byte_offset`` locates the first offending byte when it can be
-    determined, else ``None``.
-    """
-
-    def __init__(self, message, byte_offset=None):
-        super().__init__(message)
-        self.byte_offset = byte_offset
-
-
-class FeedStructureError(WordburstError):
-    """Raised when well-formed XML lacks the expected feed structure."""
-
-
 class CorpusFormatError(WordburstError, ValueError):
     """Raised on malformed corpus, matrix, or scan-log input files, and on
     inputs that contradict each other (a scan log for another horizon)."""

@@ -1,53 +1,33 @@
-"""Corpus ingestion: feed parsing, scan diffing, tokenization, daily binning.
+"""Corpus ingestion: tokenization, daily binning, missed-scan cleaning.
 
-The pipeline turns raw RSS scans (or a flat dated corpus file) into a
-cleaned :class:`~wordburst.matrix.WordDayMatrix`:
+The pipeline turns a flat dated corpus file into a cleaned
+:class:`~wordburst.matrix.WordDayMatrix`:
 
-    parse_rss -> diff_scan -> Post records -> bin_daily -> clean_missing_scans
+    read_flat_corpus -> Post records -> bin_daily -> clean_missing_scans
 
-Day indices count from the corpus epoch (the first scan date); a day's
+Day indices count from the corpus epoch (the earliest date); a day's
 entry for a word is the number of posts containing that word at least
 once, never the within-post multiplicity.
 """
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import html
 import json
 import re
-import xml.etree.ElementTree as ET
 from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorpusFormatError,
-    EmptyCorpusError,
-    FeedParseError,
-    FeedStructureError,
-)
-from .fileio import atomic_writer
+from .errors import CorpusFormatError, EmptyCorpusError
 from .matrix import WordDayMatrix
 
 _TAG_RE = re.compile(r"<!--.*?-->|<[^>]*>", re.DOTALL)
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # ASCII letters and digits lowered, other bytes spaces: on ASCII text its split gives _TOKEN_RE's tokens
 _TOKEN_TABLE = bytes(ord(chr(c).lower()) if chr(c).isascii() and chr(c).isalnum() else 32 for c in range(256))
-_WS_RE = re.compile(r"\s+")
-
-
-@dataclass(frozen=True)
-class FeedItem:
-    """One item element of a feed scan."""
-
-    feed_id: str
-    guid: str
-    title: str
-    description: str
 
 
 @dataclass(frozen=True)
@@ -88,9 +68,6 @@ class ScanLog:
     def horizon(self) -> int:
         return len(self.days)
 
-    def missed_days(self) -> list[int]:
-        return [d.day_index for d in self.days if not d.scan_performed]
-
     @classmethod
     def all_scanned(cls, horizon: int) -> "ScanLog":
         return cls([ScanDay(i, True) for i in range(horizon)])
@@ -125,13 +102,6 @@ class CleaningReport:
                 "retained_horizon": self.retained_horizon}
 
 
-def strip_markup(text: str) -> str:
-    """Drop tag-like markup, decode entities, collapse whitespace."""
-    text = _TAG_RE.sub(" ", text)
-    text = html.unescape(text)
-    return _WS_RE.sub(" ", text).strip()
-
-
 def tokenize(text: str) -> list[str]:
     """Split text into lowercased words.
 
@@ -139,95 +109,11 @@ def tokenize(text: str) -> list[str]:
     digit separates tokens; empty tokens are dropped.  Text that is ASCII
     after decoding (``&nbsp;`` as a space) is cut through one byte table.
     """
-    # strip_markup without its whitespace collapse: whitespace only ever separates tokens.
     # Outside ASCII each token is lowered alone: lowering all the text splits 'İ', changes some 'Σ'.
     text = html.unescape(_TAG_RE.sub(" ", text)).replace("\xa0", " ")
     if text.isascii():
         return text.encode().translate(_TOKEN_TABLE).decode().split()
     return list(map(str.lower, _TOKEN_RE.findall(text)))
-
-
-def content_guid(title: str, description: str) -> str:
-    """Stable fallback identifier for items that carry no guid element."""
-    payload = title.encode("utf-8") + b"\x00" + description.encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
-
-
-def parse_rss(data: bytes, feed_id: str | None = None) -> list[FeedItem]:
-    """Extract items from one RSS 2.0 document, in document order.
-
-    Titles and descriptions come back markup-stripped.  Items without a
-    guid get :func:`content_guid` of their title+description.  When
-    ``feed_id`` is not given, the channel link (or title) is used.
-    """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        offset = _byte_offset(data, exc)
-        raise FeedParseError(f"malformed XML at byte {offset}: {exc}", byte_offset=offset) from exc
-    channel = root.find("channel") if root.tag != "channel" else root
-    if channel is None:
-        raise FeedStructureError(f"no channel element under root {root.tag!r}")
-    if feed_id is None:
-        feed_id = (channel.findtext("link") or channel.findtext("title") or "").strip()
-    items = []
-    seen: set[str] = set()
-    for el in channel.findall("item"):
-        title = strip_markup(el.findtext("title") or "")
-        description = strip_markup(el.findtext("description") or "")
-        guid = (el.findtext("guid") or "").strip()
-        if not guid:
-            guid = content_guid(title, description)
-        if guid in seen:
-            continue
-        seen.add(guid)
-        items.append(FeedItem(feed_id=feed_id, guid=guid, title=title, description=description))
-    return items
-
-
-def _byte_offset(data: bytes, exc: ET.ParseError) -> int | None:
-    # expat reports (line, column); convert to a byte offset in the input
-    try:
-        line, column = exc.position
-    except (AttributeError, TypeError):
-        return None
-    lines = data.split(b"\n")
-    if line - 1 >= len(lines):
-        return None
-    return sum(len(l) + 1 for l in lines[: line - 1]) + column
-
-
-def diff_scan(previous: set[str], current: list[FeedItem]) -> list[FeedItem]:
-    """Items of the current scan whose guid was absent from the previous one.
-
-    Items that disappeared since the previous scan are dropped silently.
-    The caller is responsible for passing the guid set of the same feed.
-    """
-    return [item for item in current if item.guid not in previous]
-
-
-class FeedSnapshotStore:
-    """One file per feed holding the guid set seen at the last scan."""
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, feed_id: str) -> Path:
-        name = hashlib.sha256(feed_id.encode("utf-8")).hexdigest()[:24]
-        return self.directory / f"{name}.guids"
-
-    def load(self, feed_id: str) -> set[str]:
-        path = self._path(feed_id)
-        if not path.exists():
-            return set()
-        with open(path, "r", encoding="utf-8") as fh:
-            return {line.rstrip("\n") for line in fh if line.strip()}
-
-    def save(self, feed_id: str, guids: set[str]) -> None:
-        with atomic_writer(self._path(feed_id)) as fh:
-            for guid in sorted(guids):
-                fh.write(guid + "\n")
 
 
 def bin_daily(posts: list[Post], horizon: int) -> WordDayMatrix:

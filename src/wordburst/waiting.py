@@ -50,6 +50,7 @@ class WaitingTimeDistribution:
     horizon: int
     f: np.ndarray  # probability of tau = 1 .. horizon-1
     sample_count: int
+    counts: np.ndarray  # the integer gap histogram behind f: f = counts / sample_count
 
     @property
     def support(self) -> np.ndarray:
@@ -70,7 +71,7 @@ def distribution_from_sample(taus: np.ndarray, horizon: int, k: int | None = Non
         raise ValueError("waiting times must lie in [1, horizon-1]")
     hist = np.bincount(taus, minlength=horizon)[1:horizon]
     f = hist / hist.sum()
-    return WaitingTimeDistribution(k=k, horizon=horizon, f=f, sample_count=int(taus.size))
+    return WaitingTimeDistribution(k=k, horizon=horizon, f=f, sample_count=int(taus.size), counts=hist)
 
 
 def ensemble_distribution(ensemble: Ensemble, matrix: WordDayMatrix) -> WaitingTimeDistribution:

@@ -121,7 +121,7 @@ def test_criterion_04_mixing_artifact():
     index = build_ensembles(m)
     agg = aggregate_distribution(index, m)
     z_agg = zeta(agg).zeta
-    taus = np.repeat(agg.support, np.round(agg.f * agg.sample_count).astype(np.int64))
+    taus = np.repeat(agg.support, agg.counts)
     mean = taus.mean()
     survival_ratio = np.mean(taus > 5 * mean) / np.exp(-5)
     window = [e for e in select_dilute(index) if 30 <= e.k <= 105]

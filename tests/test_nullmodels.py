@@ -158,7 +158,7 @@ class TestHeterogeneous:
             rate_distribution="log-uniform", tau_min=1.0, tau_max=1000.0,
         ))
         dist = aggregate_distribution(build_ensembles(m), m)
-        taus = np.repeat(dist.support, np.round(dist.f * dist.sample_count).astype(int))
+        taus = np.repeat(dist.support, dist.counts)
         mean = taus.mean()
         assert np.mean(taus > 5 * mean) > 1.5 * np.exp(-5)
         assert zeta(dist).zeta > 2.5

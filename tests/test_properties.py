@@ -1,4 +1,5 @@
 """Property tests for the structural invariants."""
+import html
 import re
 
 import numpy as np
@@ -6,9 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordburst.ensembles import build_ensembles
-from wordburst.ingest import (
-    FeedItem, Post, ScanDay, ScanLog, bin_daily, clean_missing_scans, strip_markup, tokenize,
-)
+from wordburst.ingest import Post, ScanDay, ScanLog, bin_daily, clean_missing_scans, tokenize
 from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import ModifiedPowerLawFit
 from wordburst.waiting import (
@@ -65,15 +64,6 @@ def test_tokens_are_lowercase_alnum(s):
         assert all(ch.isalnum() or unicodedata.category(ch).startswith("M") for ch in tok)
 
 
-@given(st.lists(st.text(alphabet="xyz", min_size=1, max_size=6), max_size=10))
-def test_diff_scan_identities(guids):
-    from wordburst.ingest import diff_scan
-
-    items = [FeedItem("f", g, g, "") for g in dict.fromkeys(guids)]
-    assert diff_scan({i.guid for i in items}, items) == []
-    assert diff_scan(set(), items) == items
-
-
 @given(st.lists(st.tuples(st.integers(0, 9), texts), max_size=12))
 def test_binning_conserves_distinct_word_mass(raw):
     posts = [Post("f", day, text) for day, text in raw]
@@ -101,7 +91,9 @@ ascii_post_texts = st.lists(st.one_of(_ascii_text, _ascii_text, _entities), max_
 
 
 def _reference_tokens(text):
-    return [t.lower() for t in re.findall(r"[^\W_]+", strip_markup(text))]
+    """Drop comments and tags, decode entities, lower each letter-or-digit run."""
+    text = html.unescape(re.sub(r"<!--.*?-->|<[^>]*>", " ", text, flags=re.DOTALL))
+    return [t.lower() for t in re.findall(r"[^\W_]+", text)]
 
 
 def _reference_bin_daily(posts, horizon):

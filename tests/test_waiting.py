@@ -130,7 +130,7 @@ class TestAggregateMixing:
                 words[f"w{i:05d}"] = {int(d): 1 for d in days}
         m = WordDayMatrix.from_mapping(horizon, words)
         dist = aggregate_distribution(build_ensembles(m), m)
-        taus = np.repeat(dist.support, np.round(dist.f * dist.sample_count).astype(int))
+        taus = np.repeat(dist.support, dist.counts)
         mean = taus.mean()
         emp_tail = np.mean(taus > 5 * mean)
         assert emp_tail > 1.5 * np.exp(-5)
@@ -143,6 +143,9 @@ class TestAggregateMixing:
             [m.gaps(index[k].rows)[1] for k in index.ks() if k < m.horizon]
         )
         np.testing.assert_allclose(agg.f, distribution_from_sample(pooled, m.horizon).f)
+        np.testing.assert_array_equal(agg.counts, np.bincount(pooled, minlength=m.horizon)[1:])
+        assert agg.counts.sum() == agg.sample_count
+        np.testing.assert_array_equal(agg.f, agg.counts / agg.sample_count)
 
     def test_two_point_mixture_dispersion(self):
         # continuous-mixture oracle: equal-weight exp(1) and exp(10) gaps
