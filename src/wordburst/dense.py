@@ -190,7 +190,7 @@ class SigmaScalingTable:
 def sigma_scaling(index: EnsembleIndex, matrix: WordDayMatrix) -> SigmaScalingTable:
     """Fit log-log slopes of spread against k over the exact-k classes of ``index``."""
     classes = [index[k] for k in index.ks()]
-    stds = [_standardize(block, mean)[1] for block, mean in _word_blocks(matrix, classes)]
+    stds = [np.sqrt(np.mean((block - mean) ** 2, axis=1)) for block, mean in _word_blocks(matrix, classes)]
     per_word = np.concatenate([np.empty(0), *stds])
     rows = []
     for ens, std in zip(classes, np.split(per_word, np.cumsum([e.n_k for e in classes])[:-1])):

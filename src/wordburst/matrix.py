@@ -17,8 +17,8 @@ Serialized form (UTF-8, one word per line, words sorted)::
     #T=<horizon>
     word<TAB>day:count,day:count,...
 
-with days ascending within a line.  Days and counts are ASCII decimal
-integers below 2^63.
+with days ascending within a line and no TAB, LF or CR in a word.  Days
+and counts are ASCII decimal integers below 2^63.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .fileio import atomic_writer
 
 _CELLS_RE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
 _INT64_MAX = 2**63 - 1
-_BLOCK_LINES = 4096  # matrix.tsv lines parsed per bulk call
+_BLOCK_LINES = 4096  # matrix.tsv lines checked and parsed per bulk call
 _BLOCK_CELLS = 1 << 16  # cells formatted per block in save_matrix
 
 
@@ -80,7 +80,7 @@ class WordDayMatrix:
         order; all-zero words vanish."""
         words, days, counts = [], [], []
         for word, x in rows:
-            nz = np.flatnonzero(x)
+            nz = x.nonzero()[0]
             if nz.size:
                 words.append(word)
                 days.append(nz)
@@ -153,6 +153,9 @@ class WordDayMatrix:
         """Check the structural invariants; raises ValueError on violation."""
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        unsavable = [w for w in self.words if "\t" in w or "\n" in w or "\r" in w]
+        if unsavable:  # matrix.tsv could not be read back
+            raise ValueError(f"word {unsavable[0]!r}: contains TAB, LF or CR")
         problem = self._first_problem()
         if problem is not None:
             raise ValueError(f"word {self.words[problem[0]]!r}: {problem[1]}")
@@ -224,16 +227,25 @@ def save_matrix(matrix: WordDayMatrix, path) -> None:
     with atomic_writer(path) as fh:
         fh.write(f"#T={matrix.horizon}\n")
         for start in range(0, matrix.vocabulary_size, rows):
-            indptr = matrix.indptr[start:start + rows + 1]
+            heads = [f"{word}\t".encode() for word in matrix.words[start:start + rows]]
+            indptr = matrix.indptr[start:start + len(heads) + 1]
             a, b = indptr[0], indptr[-1]
-            cells = np.column_stack((matrix.days[a:b], matrix.counts[a:b])).ravel().tolist()
-            bounds = (2 * (indptr - a)).tolist()
-            formats: dict[int, str] = {}  # per block, so their size stays bounded too
-            for word, lo, hi in zip(matrix.words[start:start + rows], bounds, bounds[1:]):
-                fmt = formats.get(hi - lo)
-                if fmt is None:
-                    fmt = formats[hi - lo] = "%s\t" + ",".join(["%d:%d"] * ((hi - lo) // 2)) + "\n"
-                fh.write(fmt % (word, *cells[lo:hi]))
+            values = np.column_stack((matrix.days[a:b], matrix.counts[a:b])).ravel()  # day, count, ...
+            digits = np.ones(values.size, np.int64)
+            for j in range(1, len(str(values.max()))):
+                digits += values >= 10**j
+            # each value is followed by its separator byte; ends[i] is one past it
+            ends = np.cumsum(digits + 1) + np.repeat(np.cumsum([len(h) for h in heads]), 2 * np.diff(indptr))
+            out = np.zeros(ends[-1], np.uint8)
+            out[ends - 1] = np.tile(np.frombuffer(b":,", np.uint8), values.size // 2)  # after a day, after a count
+            out[ends[2 * (indptr[1:] - a) - 1] - 1] = ord("\n")
+            at = ends - 2  # the last digit of each value, written right to left
+            while values.size:
+                out[at] = ord("0") + values % 10
+                more = values >= 10
+                values, at = values[more] // 10, at[more] - 1
+            out[out == 0] = np.frombuffer(b"".join(heads), np.uint8)  # the bytes left are the word<TAB> heads
+            fh.write(out.tobytes().decode())
 
 
 def load_matrix(path) -> WordDayMatrix:
@@ -264,8 +276,6 @@ def load_matrix(path) -> WordDayMatrix:
                 word, cells = line.split("\t")
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: expected word<TAB>cells") from None
-            if not _CELLS_RE.fullmatch(cells):
-                raise CorpusFormatError(f"{path}:{lineno}: bad cell {_bad_cell(cells)!r}")
             words.append(word)
             linenos.append(lineno)
             lengths.append(cells.count(",") + 1)
@@ -274,9 +284,10 @@ def load_matrix(path) -> WordDayMatrix:
                 blocks.append(_parse_cells(path, pending))
                 pending = []
     blocks.append(_parse_cells(path, pending))
-    pairs = np.concatenate(blocks)
+    days = np.concatenate([b[0::2] for b in blocks])
+    counts = np.concatenate([b[1::2] for b in blocks])
     del blocks
-    matrix = WordDayMatrix(horizon, tuple(words), _indptr(lengths), pairs[0::2].copy(), pairs[1::2].copy())
+    matrix = WordDayMatrix(horizon, tuple(words), _indptr(lengths), days, counts)
     problem = matrix._first_problem()
     if problem is not None:
         raise CorpusFormatError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
@@ -284,19 +295,32 @@ def load_matrix(path) -> WordDayMatrix:
 
 
 def _parse_cells(path, lines: list[tuple[int, str]]) -> np.ndarray:
-    """day, count, day, count, ... of (line number, cells) pairs whose cells
-    matched ``_CELLS_RE``.
-
-    The bulk parser turns values of 2^63 and above into 2^63 - 1 without
-    a word, so a block holding that value is checked line by line.
-    """
-    values = np.fromstring(",".join(cells for _, cells in lines).replace(":", ","), dtype=np.int64, sep=",")
-    if (values == _INT64_MAX).any():
+    """day, count, day, count, ... of (line number, cells) pairs.  A block that
+    fails the bulk check, or holds 2^63 - 1 (as the bulk parser reads any
+    larger value), is checked line by line, so the error names its line."""
+    if not lines:
+        return np.empty(0, np.int64)
+    values = _block_values("\n".join(cells for _, cells in lines).encode(), len(lines))
+    if values is None or (values == _INT64_MAX).any():
         for lineno, cells in lines:
             bad = _bad_cell(cells)
             if bad is not None:
                 raise CorpusFormatError(f"{path}:{lineno}: bad cell {bad!r}")
     return values
+
+
+def _block_values(text: bytes, n_lines: int) -> np.ndarray | None:
+    """day, count, day, count, ... of ``n_lines`` cell strings joined by LF,
+    or None unless each matches ``_CELLS_RE``: then, without its digits, the
+    text reads ':' and then ',' or LF, over and over, and no separator
+    touches another or starts or ends the text."""
+    skeleton = text.translate(None, b"0123456789")
+    flat = text.translate(bytes.maketrans(b":\n", b",,"))
+    sep = np.frombuffer(flat, np.uint8) == ord(",")
+    if (len(skeleton) % 2 == 0 or skeleton[0::2].translate(None, b":") or skeleton[1::2].translate(None, b",\n")
+            or skeleton.count(b"\n") != n_lines - 1 or sep[0] or sep[-1] or (sep[1:] & sep[:-1]).any()):
+        return None
+    return np.fromstring(flat, dtype=np.int64, count=len(skeleton) + 1, sep=",")
 
 
 def _bad_cell(cells: str) -> str | None:

@@ -1,9 +1,15 @@
 """Ingestion pipeline: tokenization, binning, cleaning, the flat corpus."""
 import json
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from wordburst import matrix as matrix_module
 from wordburst.errors import CorpusFormatError, EmptyCorpusError
 from wordburst.ingest import (
     Post,
@@ -191,6 +197,8 @@ class TestMatrixConstruction:
         (3, {"w": {}}, "word 'w': no day entries"),
         (3, {"w": {1: 0}}, "word 'w': count 0 < 1"),
         (0, {}, "horizon must be >= 1"),
+        # save_matrix would write these words, and load_matrix would split their lines
+        *((3, {w: {0: 1}, "z": {1: 2}}, f"word {w!r}: contains TAB, LF or CR") for w in ["a\tb", "a\nb", "a\rb"]),
     ])
     def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
         with pytest.raises(ValueError) as err:
@@ -297,3 +305,89 @@ class TestMatrixSerialization:
             w + "\t" + ",".join(f"{d}:{c}" for d, c in sorted(counts[w].items())) for w in sorted(counts)]
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
         assert load_matrix(path) == m
+
+    @pytest.mark.parametrize("cells, bad", [("0:1,1:+5", "1:+5"), ("0:1,,1:1", ""), ("0:1 ", "0:1 ")])
+    def test_rejects_bad_cell_in_a_later_block(self, tmp_path, cells, bad):
+        lines = [f"w{i:05d}\t0:1" for i in range(9000)]
+        lines[8000] = f"w08000\t{cells}"
+        path = tmp_path / "bad.tsv"
+        path.write_text("#T=5\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:8002: bad cell {bad!r}"
+
+
+def _reference_tsv(m: WordDayMatrix) -> str:
+    """matrix.tsv formatted row by row."""
+    lines = [f"#T={m.horizon}"]
+    for r, word in enumerate(m.words):
+        cells = range(m.indptr[r], m.indptr[r + 1])
+        lines.append(word + "\t" + ",".join(f"{m.days[i]}:{m.counts[i]}" for i in cells))
+    return "\n".join(lines) + "\n"
+
+
+_WORDS = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=4)
+_COUNTS = st.one_of(st.integers(1, 200), st.sampled_from([9, 10, 99, 100, 10**18, 2**63 - 1]))
+
+
+@st.composite
+def _matrices(draw):
+    horizon = draw(st.integers(1, 30))
+    return build_matrix(draw(st.dictionaries(
+        _WORDS, st.dictionaries(st.integers(0, horizon - 1), _COUNTS, min_size=1), max_size=6)), horizon)
+
+
+def _digit_edges(horizon):
+    """Counts on each side of every digit-count step that matters, under non-ASCII words."""
+    counts = [9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1]
+    return build_matrix({f"w{i}\u00e9\u4e2d": {i % horizon: c} for i, c in enumerate(counts)}
+                        | {"\u00fc": {d: 1 + d for d in range(horizon)}}, horizon)
+
+
+@settings(deadline=None)
+@given(_matrices(), st.sampled_from([1, 8, 1 << 16]))
+@example(_digit_edges(1), 1).via("horizon 1, one row per save block")
+@example(_digit_edges(7), 1).via("one row per save block")
+@example(_digit_edges(7), 1 << 16)
+def test_save_matches_reference_formatter(m, block_cells):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(matrix_module, "_BLOCK_CELLS", block_cells):
+        path = Path(tmp) / "m.tsv"
+        save_matrix(m, path)
+        assert path.read_text(encoding="utf-8") == _reference_tsv(m)
+        assert load_matrix(path) == m
+
+
+_CELL_TOKENS = [*"0123456789", ":", ",", "\n", "\r", " ", "-", "+", "_", "\u0663", ""]
+_CELL_NUMBERS = ["0", "13", "042", "9223372036854775807", "9223372036854775808"]
+
+
+@st.composite
+def _cell_strings(draw):
+    """A well-formed cell string, or one with one digit run emptied or one
+    separator replaced by a token that is not a digit."""
+    parts = []
+    for i in range(2 * draw(st.integers(1, 3))):
+        parts += [draw(st.sampled_from(_CELL_NUMBERS)), ",:"[i % 2 == 0]]
+    parts[-1] = ""  # nothing follows the last count
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(parts) - 2))
+        parts[k] = draw(st.sampled_from(_CELL_TOKENS[10:])) if k % 2 else ""
+    return "".join(parts)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(_cell_strings(), st.lists(st.sampled_from(_CELL_TOKENS), max_size=12).map("".join)),
+                min_size=1, max_size=4))
+@example([":0"]).via("a leading separator")
+@example(["0:"]).via("a trailing separator")
+@example(["0::1"]).via("touching separators")
+@example(["0:1", ""]).via("an empty line")
+@example(["0:1\n2:3"]).via("a line break inside one line's cells")
+@example(["0:1\r2:3"]).via("a CR, which universal newlines would split on")
+@example(["0:\u0663"]).via("a non-ASCII digit")
+def test_block_check_accepts_exactly_what_the_line_regex_accepts(cells):
+    values = matrix_module._block_values("\n".join(cells).encode(), len(cells))
+    assert (values is not None) == all(matrix_module._CELLS_RE.fullmatch(c) for c in cells)
+    if values is not None:  # the bulk parser reads every value from 2^63 up as 2^63 - 1
+        expected = [min(int(v), 2**63 - 1) for c in cells for v in re.split("[:,]", c)]
+        assert values.tolist() == expected
