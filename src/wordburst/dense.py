@@ -22,7 +22,7 @@ from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substreams
 
-BLOCK_CELLS = 1 << 19  # day counts per dense block (4 MB of int64), whatever the horizon
+BLOCK_CELLS = 1 << 16  # day counts per dense block (512 kB of int64), whatever the horizon
 BIN_WIDTH = 0.25  # default bin width of the pooled standardized counts
 WINDOW = (-6.0, 10.0)  # binned range of the standardized counts; values outside are clipped
 

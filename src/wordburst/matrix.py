@@ -17,8 +17,8 @@ Serialized form (UTF-8, one word per line, words sorted)::
     #T=<horizon>
     word<TAB>day:count,day:count,...
 
-with days ascending within a line and no TAB, LF or CR in a word.  Days
-and counts are ASCII decimal integers below 2^63.
+with days ascending within a line and no TAB, LF, CR or surrogate code
+point in a word.  Days and counts are ASCII decimal integers below 2^63.
 """
 from __future__ import annotations
 
@@ -35,8 +35,9 @@ from .errors import CorpusFormatError
 from .fileio import atomic_writer
 
 _CELLS_RE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # the code points a str may hold and UTF-8 may not
 _INT64_MAX = 2**63 - 1
-_BLOCK_LINES = 4096  # matrix.tsv lines checked and parsed per bulk call
+_BLOCK_LINES = 1024  # matrix.tsv lines checked and parsed per bulk call; small, as freed block buffers stay resident
 _BLOCK_CELLS = 1 << 16  # cells formatted per block in save_matrix
 
 
@@ -78,16 +79,14 @@ class WordDayMatrix:
     def from_day_vectors(cls, horizon: int, rows: Iterable[tuple[str, np.ndarray]]) -> "WordDayMatrix":
         """Build from ``(word, length-horizon count vector)`` pairs in word
         order; all-zero words vanish."""
-        words, days, counts = [], [], []
+        words, lengths, buffers = [], array("q"), (array("q"), array("q"))
         for word, x in rows:
             nz = x.nonzero()[0]
             if nz.size:
                 words.append(word)
-                days.append(nz)
-                counts.append(x[nz])
-        matrix = cls(horizon, tuple(words), _indptr([d.size for d in days]),
-                     np.concatenate([np.empty(0, np.int64), *days]),
-                     np.concatenate([np.empty(0, np.int64), *counts]))
+                lengths.append(nz.size)
+                _append_cells(buffers, nz, x[nz])
+        matrix = cls(horizon, tuple(words), _indptr(lengths), *(np.frombuffer(b, np.int64) for b in buffers))
         matrix.validate()
         return matrix
 
@@ -156,6 +155,9 @@ class WordDayMatrix:
         unsavable = [w for w in self.words if "\t" in w or "\n" in w or "\r" in w]
         if unsavable:  # matrix.tsv could not be read back
             raise ValueError(f"word {unsavable[0]!r}: contains TAB, LF or CR")
+        unencodable = [w for w in self.words if not w.isascii() and _SURROGATE_RE.search(w)]
+        if unencodable:  # nor written
+            raise ValueError(f"word {unencodable[0]!r}: holds a surrogate, which UTF-8 cannot encode")
         problem = self._first_problem()
         if problem is not None:
             raise ValueError(f"word {self.words[problem[0]]!r}: {problem[1]}")
@@ -202,6 +204,13 @@ class WordDayMatrix:
 
 def _indptr(lengths) -> np.ndarray:
     return np.concatenate([np.zeros(1, np.int64), np.cumsum(lengths, dtype=np.int64)])
+
+
+def _append_cells(buffers: tuple[array, array], days: np.ndarray, counts: np.ndarray) -> None:
+    """Append cells to the (days, counts) int64 buffers of a matrix being
+    built, so the cells are held once, not as pieces and then a concatenation."""
+    for buffer, values in zip(buffers, (days, counts)):
+        buffer.frombytes(values.astype(np.int64, copy=False).tobytes())
 
 
 def merge_matrices(matrices: Iterable[WordDayMatrix]) -> WordDayMatrix:
@@ -256,7 +265,7 @@ def load_matrix(path) -> WordDayMatrix:
     words: list[str] = []
     linenos: list[int] = []
     lengths = array("q")
-    blocks: list[np.ndarray] = []  # day, count, day, count, ... per block of lines
+    buffers = (array("q"), array("q"))  # days, counts
     pending: list[tuple[int, str]] = []  # (line number, cells) of the block being read
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -281,32 +290,29 @@ def load_matrix(path) -> WordDayMatrix:
             lengths.append(cells.count(",") + 1)
             pending.append((lineno, cells))
             if len(pending) == _BLOCK_LINES:
-                blocks.append(_parse_cells(path, pending))
+                _append_cells(buffers, *_parse_cells(path, pending))
                 pending = []
-    blocks.append(_parse_cells(path, pending))
-    days = np.concatenate([b[0::2] for b in blocks])
-    counts = np.concatenate([b[1::2] for b in blocks])
-    del blocks
-    matrix = WordDayMatrix(horizon, tuple(words), _indptr(lengths), days, counts)
+    _append_cells(buffers, *_parse_cells(path, pending))
+    matrix = WordDayMatrix(horizon, tuple(words), _indptr(lengths), *(np.frombuffer(b, np.int64) for b in buffers))
     problem = matrix._first_problem()
     if problem is not None:
         raise CorpusFormatError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
     return matrix
 
 
-def _parse_cells(path, lines: list[tuple[int, str]]) -> np.ndarray:
-    """day, count, day, count, ... of (line number, cells) pairs.  A block that
+def _parse_cells(path, lines: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(days, counts) of the cells of (line number, cells) pairs.  A block that
     fails the bulk check, or holds 2^63 - 1 (as the bulk parser reads any
     larger value), is checked line by line, so the error names its line."""
     if not lines:
-        return np.empty(0, np.int64)
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     values = _block_values("\n".join(cells for _, cells in lines).encode(), len(lines))
     if values is None or (values == _INT64_MAX).any():
         for lineno, cells in lines:
             bad = _bad_cell(cells)
             if bad is not None:
                 raise CorpusFormatError(f"{path}:{lineno}: bad cell {bad!r}")
-    return values
+    return values[0::2], values[1::2]
 
 
 def _block_values(text: bytes, n_lines: int) -> np.ndarray | None:

@@ -94,10 +94,12 @@ def aggregate_distribution(index: EnsembleIndex, matrix: WordDayMatrix) -> Waiti
     dilute = select_dilute(index)
     if not dilute:
         raise EmptySampleError("no sparse classes to aggregate")
-    taus = matrix.gaps(np.concatenate([e.rows for e in dilute]))[1]
-    if taus.size == 0:
+    # class by class, so the gaps of every sparse word are never held at once
+    hist = sum(np.bincount(matrix.gaps(e.rows)[1], minlength=matrix.horizon)[1:] for e in dilute)
+    if not hist.any():
         raise EmptySampleError("sparse classes contain no waiting times")
-    return distribution_from_sample(taus, matrix.horizon, k=None)
+    n = int(hist.sum())
+    return WaitingTimeDistribution(k=None, horizon=matrix.horizon, f=hist / n, sample_count=n, counts=hist)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -199,11 +200,30 @@ class TestMatrixConstruction:
         (0, {}, "horizon must be >= 1"),
         # save_matrix would write these words, and load_matrix would split their lines
         *((3, {w: {0: 1}, "z": {1: 2}}, f"word {w!r}: contains TAB, LF or CR") for w in ["a\tb", "a\nb", "a\rb"]),
+        # nor could save_matrix encode these
+        *((3, {w: {0: 1}}, f"word {w!r}: holds a surrogate, which UTF-8 cannot encode")
+          for w in ["a\ud800", "\u00e9\udfff", "\ud83d\ude00"]),
     ])
     def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
         with pytest.raises(ValueError) as err:
             WordDayMatrix.from_mapping(horizon, counts)
         assert str(err.value) == message
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda horizon: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, 2**31 - 1]), min_size=horizon, max_size=horizon), max_size=5)),
+        st.sampled_from([np.int64, np.int32]))
+    @example([], np.int64).via("empty input")
+    @example([[0, 0, 0], [0, 0, 0]], np.int64).via("only all-zero rows")
+    @example([[0, 3, 0], [0, 0, 0], [2**31 - 1, 0, 1]], np.int32).via("int32 vectors around an all-zero row")
+    def test_from_day_vectors_matches_from_mapping(self, vectors, dtype):
+        horizon = len(vectors[0]) if vectors else 5
+        rows = [(f"w{i}", np.array(v, dtype)) for i, v in enumerate(vectors)]
+        m = WordDayMatrix.from_day_vectors(horizon, rows)
+        assert m == WordDayMatrix.from_mapping(
+            horizon, {w: {d: int(c) for d, c in enumerate(x) if c} for w, x in rows if x.any()})
+        for a in (m.indptr, m.days, m.counts):
+            assert a.dtype == np.int64 and not a.flags.writeable
 
     def test_merge_rejects_nothing_other_horizon_and_overlap(self):
         a = build_matrix({"w": {0: 1}}, horizon=3)
@@ -315,6 +335,37 @@ class TestMatrixSerialization:
         with pytest.raises(CorpusFormatError) as err:
             load_matrix(path)
         assert str(err.value) == f"{path}:8002: bad cell {bad!r}"
+
+
+class TestMatrixMemory:
+    """A matrix being built holds its cells once: peak traced memory stays
+    near the final ``days`` + ``counts`` bytes, not twice them."""
+
+    @staticmethod
+    def _peak_over_cells(build) -> float:
+        build()  # lazy imports happen outside the traced run
+        tracemalloc.start()
+        try:
+            m = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (m.days.nbytes + m.counts.nbytes)
+
+    @staticmethod
+    def _poisson_words(n_words: int, horizon: int):
+        rng = np.random.default_rng(8)
+        return ((f"w{i:05d}", rng.poisson(0.5, horizon)) for i in range(n_words))
+
+    def test_from_day_vectors(self):
+        ratio = self._peak_over_cells(lambda: WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)))
+        assert ratio <= 1.6
+
+    def test_load_matrix(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.tsv"
+        save_matrix(WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)), path)
+        monkeypatch.setattr(matrix_module, "_BLOCK_LINES", 64)
+        assert self._peak_over_cells(lambda: load_matrix(path)) <= 1.6
 
 
 def _reference_tsv(m: WordDayMatrix) -> str:
