@@ -230,8 +230,7 @@ def _analyze_dense(matrix, out, args) -> None:
               f" zero-spread words skipped: {empirical.skipped_words}", file=sys.stderr)
         null = empirical
     else:
-        null_matrix = matched_poisson_null(selected, matrix, args.seed)
-        null = pool_rescaled(select_dense(build_ensembles(null_matrix), args.k_lo, args.k_hi), null_matrix)
+        null = matched_poisson_null(selected, matrix.horizon, args.seed)
         try:
             table = sigma_scaling(index, matrix)
             write_sigma_scaling_csv(out("sigma_scaling.csv"), table)

@@ -9,11 +9,12 @@ thin at large k, hence each word's daily counts are standardized to
 
 with sigma the word's own (population) daily standard deviation, and
 the standardized values pooled over a k-range.  A uniform box-allocation
-generator provides the matched independent-events reference.
+generator, pooled as it is drawn, gives the matched independent-events null.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .matrix import WordDayMatrix
 from .seeding import substreams
 
 BLOCK_CELLS = 1 << 16  # day counts per dense block (512 kB of int64), whatever the horizon
-BIN_WIDTH = 0.25  # default bin width of the pooled standardized counts
+BIN_WIDTH = 0.25  # bin width of the pooled standardized counts
 WINDOW = (-6.0, 10.0)  # binned range of the standardized counts; values outside are clipped
 
 
@@ -81,14 +82,19 @@ def _standardize(block: np.ndarray, mean) -> tuple[np.ndarray, np.ndarray]:
     return dev[std > 0] / std[std > 0, None], std
 
 
-def _word_blocks(matrix: WordDayMatrix, classes: list[Ensemble]):
-    """(dense block, column of each word's k/T) over the words of ``classes``
-    in order, at most BLOCK_CELLS day counts (or one word) per block."""
+def _blocks(ks: np.ndarray, horizon: int, block_of):
+    """(``block_of(i, j)``, column of k/T) over consecutive words i .. j-1, in order,
+    with totals ``ks``: at most BLOCK_CELLS day counts (or one word) per block."""
+    step = max(1, BLOCK_CELLS // horizon)
+    for i in range(0, ks.size, step):
+        yield block_of(i, i + step), (ks[i:i + step] / horizon)[:, None]
+
+
+def _words(matrix: WordDayMatrix, classes: list[Ensemble]):
+    """The arguments of :func:`_blocks` for the words of ``classes`` in order."""
     rows = np.concatenate([np.empty(0, np.intp), *(e.rows for e in classes)])
-    means = np.repeat([e.k / matrix.horizon for e in classes], [e.n_k for e in classes])
-    step = max(1, BLOCK_CELLS // matrix.horizon)
-    for i in range(0, rows.size, step):
-        yield matrix.dense_block(rows[i:i + step]), means[i:i + step, None]
+    ks = np.repeat([e.k for e in classes], [e.n_k for e in classes])
+    return ks, matrix.horizon, lambda i, j: matrix.dense_block(rows[i:j])
 
 
 @dataclass
@@ -112,22 +118,24 @@ class RescaledCountDistribution:
         return float(np.sum(self.density[sel] * widths[sel]))
 
 
-def pool_rescaled(classes: list[Ensemble], matrix: WordDayMatrix,
-                  bin_width: float = BIN_WIDTH) -> RescaledCountDistribution:
+def pool_rescaled(classes: list[Ensemble], matrix: WordDayMatrix) -> RescaledCountDistribution:
     """Pool the standardized daily counts of the words of ``classes`` over WINDOW."""
-    edges = np.arange(WINDOW[0], WINDOW[1] + bin_width / 2, bin_width)
+    return _pool(*_words(matrix, classes))
+
+
+def _pool(ks: np.ndarray, horizon: int, block_of) -> RescaledCountDistribution:
+    """Histogram the standardized day counts of the :func:`_blocks` words on the fixed grid."""
+    edges = np.arange(WINDOW[0], WINDOW[1] + BIN_WIDTH / 2, BIN_WIDTH)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     used = 0
-    for block, mean in _word_blocks(matrix, classes):
+    for block, mean in _blocks(ks, horizon, block_of):
         xt, _ = _standardize(block, mean)
         counts += np.histogram(xt, bins=edges)[0]
         used += xt.shape[0]
     total_in = int(counts.sum())
-    density = counts / (total_in * bin_width) if total_in else np.zeros(edges.size - 1)
-    return RescaledCountDistribution(
-        bin_edges=edges, density=density, word_count=used,
-        skipped_words=sum(e.n_k for e in classes) - used, clipped_count=used * matrix.horizon - total_in,
-    )
+    density = counts / (total_in * BIN_WIDTH) if total_in else np.zeros(edges.size - 1)
+    return RescaledCountDistribution(bin_edges=edges, density=density, word_count=used,
+                                     skipped_words=ks.size - used, clipped_count=used * horizon - total_in)
 
 
 def poisson_null_ensemble(k: int, horizon: int, n_words: int, seed: int,
@@ -141,27 +149,21 @@ def poisson_null_ensemble(k: int, horizon: int, n_words: int, seed: int,
         raise ValueError("k and n_words must be >= 1")
     width = len(str(n_words - 1))
     names = [f"{name_prefix}k{k}_{i:0{width}d}" for i in range(n_words)]
-    return _box_allocation(names, [k] * n_words, horizon, seed)
+    return WordDayMatrix.from_day_vectors(horizon, zip(names, _box_draws([k] * n_words, horizon, seed)))
 
 
-def matched_poisson_null(classes: list[Ensemble], matrix: WordDayMatrix, seed: int) -> WordDayMatrix:
-    """One box-allocation word per word of ``classes``, same totals.
-
-    Word order is sorted for determinism; substream index follows that
-    order.
-    """
-    pairs = sorted((r, e.k) for e in classes for r in e.rows.tolist())  # rows ascend with words
-    names = [f"null_{matrix.words[r]}" for r, _ in pairs]
-    return _box_allocation(names, [k for _, k in pairs], matrix.horizon, seed)
+def matched_poisson_null(classes: list[Ensemble], horizon: int, seed: int) -> RescaledCountDistribution:
+    """Pooled standardized daily counts of a box-allocation twin of each word of ``classes``,
+    the i-th lowest row's twin drawn from substream i and pooled without building a matrix."""
+    ks = [k for _, k in sorted((r, e.k) for e in classes for r in e.rows.tolist())]
+    draws = _box_draws(ks, horizon, seed)
+    return _pool(np.array(ks), horizon, lambda i, j: np.stack(list(islice(draws, j - i))))
 
 
-def _box_allocation(names: list[str], ks: list[int], horizon: int, seed: int) -> WordDayMatrix:
-    """Word ``names[i]`` drops ``ks[i]`` events uniformly into the day boxes,
-    drawing from substream ``i``."""
+def _box_draws(ks: list[int], horizon: int, seed: int):
+    """Day counts of word i dropping ``ks[i]`` events uniformly into the day boxes, from substream i."""
     p = np.full(horizon, 1.0 / horizon)
-    return WordDayMatrix.from_day_vectors(horizon, (
-        (name, rng.multinomial(k, p)) for name, k, rng in zip(names, ks, substreams(seed, len(names)))
-    ))
+    return (rng.multinomial(k, p) for k, rng in zip(ks, substreams(seed, len(ks))))
 
 
 @dataclass
@@ -190,7 +192,7 @@ class SigmaScalingTable:
 def sigma_scaling(index: EnsembleIndex, matrix: WordDayMatrix) -> SigmaScalingTable:
     """Fit log-log slopes of spread against k over the exact-k classes of ``index``."""
     classes = [index[k] for k in index.ks()]
-    stds = [np.sqrt(np.mean((block - mean) ** 2, axis=1)) for block, mean in _word_blocks(matrix, classes)]
+    stds = [np.sqrt(np.mean((block - mean) ** 2, axis=1)) for block, mean in _blocks(*_words(matrix, classes))]
     per_word = np.concatenate([np.empty(0), *stds])
     rows = []
     for ens, std in zip(classes, np.split(per_word, np.cumsum([e.n_k for e in classes])[:-1])):
@@ -213,8 +215,6 @@ def sigma_scaling(index: EnsembleIndex, matrix: WordDayMatrix) -> SigmaScalingTa
 def write_xtilde_csv(path, empirical: RescaledCountDistribution,
                      null: RescaledCountDistribution) -> None:
     """Write ``xtilde,density_empirical,density_null`` on the shared grid."""
-    if empirical.bin_edges.shape != null.bin_edges.shape or not np.allclose(empirical.bin_edges, null.bin_edges):
-        raise ValueError("empirical and null distributions use different bins")
     write_table(path, ["xtilde", "density_empirical", "density_null"],
                 zip(empirical.bin_centers, empirical.density, null.density))
 

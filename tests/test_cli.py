@@ -290,7 +290,7 @@ class TestAnalyzeDense:
         assert sidecar["seed"] == 3
         assert sidecar["word_count"] == 80
 
-    def test_partitions_input_and_null_once_each(self, tmp_path, monkeypatch):
+    def test_partitions_input_once_and_builds_no_null_matrix(self, tmp_path, monkeypatch):
         path = self.make_dense_matrix(tmp_path)
         calls = []
         totals = WordDayMatrix.totals
@@ -301,7 +301,7 @@ class TestAnalyzeDense:
 
         monkeypatch.setattr(WordDayMatrix, "totals", counted)
         assert main(["analyze", "--input", str(path), "--mode", "dense", "--output", str(tmp_path / "o")]) == EXIT_OK
-        assert calls == ["w0000", "null_w0000"]
+        assert calls == ["w0000"]
 
     def test_empty_range_warns_and_succeeds(self, tmp_path, capsys):
         save_matrix(build_matrix({"w": {0: 3}}, horizon=5), tmp_path / "m.tsv")

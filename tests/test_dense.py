@@ -15,6 +15,7 @@ from wordburst.dense import (
 )
 from wordburst.ensembles import build_ensembles, select_dense
 from wordburst.matrix import WordDayMatrix, merge_matrices
+from wordburst.seeding import substream
 
 from conftest import build_matrix, burst_matrix
 
@@ -89,9 +90,8 @@ class TestRescaledPooling:
         horizon, seed = 214, 14
         ks = [1000 + 17 * i for i in range(120)]
         bursty = burst_matrix(ks, horizon, n_days=10, seed=seed)
-        null = matched_poisson_null(in_range(bursty, 1000, 2000), bursty, seed=seed)
         tail_b = pool_rescaled(in_range(bursty, 1000, 2000), bursty).tail_mass(4.0)
-        tail_n = pool_rescaled(in_range(null, 1000, 2000), null).tail_mass(4.0)
+        tail_n = matched_poisson_null(in_range(bursty, 1000, 2000), horizon, seed=seed).tail_mass(4.0)
         assert tail_b > 2 * max(tail_n, 1e-12)
 
     def test_extreme_concentration_is_clipped_and_counted(self):
@@ -188,11 +188,52 @@ class TestPoissonNullEnsemble:
 
 
 class TestMatchedNull:
-    def test_same_total_multiset(self):
-        bursty = burst_matrix([1000, 1500, 1700], 214, n_days=10, seed=6)
-        null = matched_poisson_null(in_range(bursty, 1000, 2000), bursty, seed=6)
-        assert sorted(null.total(w) for w in null.words) == [1000, 1500, 1700]
-        assert null.vocabulary_size == 3
+    @staticmethod
+    def reference(classes, horizon, seed):
+        """The null as a matrix: word i, on the i-th lowest row of ``classes``,
+        drops its k events into the days from ``substream(seed, i)``; pooled."""
+        ks = [k for _, k in sorted((r, e.k) for e in classes for r in e.rows.tolist())]
+        p = np.full(horizon, 1.0 / horizon)
+        null = WordDayMatrix.from_day_vectors(horizon, (
+            (f"n{i:04d}", substream(seed, i).multinomial(k, p)) for i, k in enumerate(ks)))
+        index = build_ensembles(null)
+        return pool_rescaled([index[k] for k in index.ks()], null)
+
+    @pytest.mark.parametrize("horizon, ks", [
+        # k=1 and k=2 words put values past the window's right edge
+        (214, [1500, 2, 1000, 1, 1500, 214, 2, 1000, 1500, 1, 214, 1000]),
+        # three days: a word with one event on every day has zero spread
+        (3, [6, 3, 9, 3, 6, 3, 3, 9, 6, 3, 3, 6]),
+    ])
+    def test_equals_pooled_matrix_of_draws(self, monkeypatch, horizon, ks):
+        m = build_matrix({f"w{i:02d}": {0: k} for i, k in enumerate(ks)}, horizon)
+        classes = in_range(m, 1, max(ks))  # class order is k order, not row order
+        expected = self.reference(classes, horizon, seed=5)
+        assert expected.word_count > 0 and expected.skipped_words + expected.clipped_count > 0
+        # the module's block size, one word per block, then blocks that split classes
+        for cells in (dense.BLOCK_CELLS, horizon, 3 * horizon + 1):
+            monkeypatch.setattr(dense, "BLOCK_CELLS", cells)
+            null = matched_poisson_null(classes, horizon, seed=5)
+            assert np.array_equal(null.bin_edges, expected.bin_edges)
+            assert np.array_equal(null.density, expected.density)
+            assert (null.word_count, null.skipped_words, null.clipped_count) == (
+                expected.word_count, expected.skipped_words, expected.clipped_count)
+
+    def test_peak_memory_is_below_a_null_matrix(self):
+        import tracemalloc
+
+        horizon = 214
+        m = poisson_null_ensemble(1500, horizon, 3000, seed=7)  # a matched null's cells take as many bytes
+        classes = in_range(m, 1000, 2000)
+        matched_poisson_null(classes, horizon, seed=8)  # lazy imports happen outside the traced run
+        tracemalloc.start()
+        try:
+            null = matched_poisson_null(classes, horizon, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert null.word_count == 3000
+        assert peak < (m.days.nbytes + m.counts.nbytes) / 2
 
 
 class TestSigmaScaling:
@@ -223,13 +264,6 @@ class TestSigmaScaling:
 
 
 class TestCsv:
-    def test_shared_grid_required(self, tmp_path):
-        m = poisson_null_ensemble(1200, 214, 50, seed=31)
-        a = pool_rescaled(in_range(m, 1000, 2000), m)
-        b = pool_rescaled(in_range(m, 1000, 2000), m, bin_width=0.5)
-        with pytest.raises(ValueError):
-            write_xtilde_csv(tmp_path / "x.csv", a, b)
-
     def test_written_columns(self, tmp_path):
         m = poisson_null_ensemble(1200, 214, 50, seed=32)
         pooled = pool_rescaled(in_range(m, 1000, 2000), m)
