@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -151,7 +152,7 @@ def cmd_analyze(args) -> int:
         "k_max": args.k_max, "seed": args.seed, "emit_plots": args.emit_plots,
     }
     analyze = {"rank": _analyze_rank, "dilute": _analyze_dilute, "dense": _analyze_dense}[args.mode]
-    with _Outputs(args.output, [args.input]) as out:
+    with _Outputs(args.output, [args.input]) as out, _fit_pool(args.mode) as args.pool:
         analyze(load_matrix(args.input), out, args)
         _write_manifest(out, "analyze", config)
     return EXIT_OK
@@ -175,15 +176,8 @@ def _analyze_dilute(matrix, out, args) -> None:
                 and (args.k_hi is None or e.k <= args.k_hi)]
     entries = []
     rescaled = []
-    fits: dict[str, dict] = {}
+    fits = {}  # fits.json key -> future of its record
     checks = []
-
-    def fit_record(risk) -> dict:
-        try:
-            return asdict(fit_stretched_exponential(risk))
-        except (EmptySampleError, FitDidNotConverge) as exc:
-            return {"skipped": str(exc)}
-
     for ens in selected:
         try:
             dist = ensemble_distribution(ens, matrix)
@@ -193,7 +187,7 @@ def _analyze_dilute(matrix, out, args) -> None:
         entries.append((ens.k, dist, risk))
         rescaled.append(rescale_time(risk, ens.k))
         checks.append(mean_waiting_check(dist))
-        fits[str(ens.k)] = fit_record(risk)
+        fits[str(ens.k)] = args.pool.submit(_fit_record, risk)
     write_distribution_csv(out("waiting.csv"), entries)
     write_rescaled_csv(out("rescaled.csv"), rescaled)
     rows = zeta_by_ensemble(selected, matrix, seed=args.seed)
@@ -206,13 +200,44 @@ def _analyze_dilute(matrix, out, args) -> None:
         write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, agg_risk))
         write_table(out("aggregate_binned.csv"), ["tau_lo", "tau_hi", "tau_center", "density"],
                     zip(*log_binned_density(np.repeat(agg.support, agg.counts))))
-        fits["aggregate"] = fit_record(agg_risk)
+        fits["aggregate"] = args.pool.submit(_fit_record, agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
-    write_json(out("fits.json"), fits)
+    write_json(out("fits.json"), {key: record.result() for key, record in fits.items()})
     if args.emit_plots:
         write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"],
                     ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
+
+
+def _fit_record(risk) -> dict:
+    """The ``fits.json`` record of one risk function; runs in a fit worker."""
+    try:
+        return asdict(fit_stretched_exponential(risk))
+    except (EmptySampleError, FitDidNotConverge) as exc:
+        return {"skipped": str(exc)}
+
+
+@contextlib.contextmanager
+def _fit_pool(mode: str):
+    """Dilute mode's fit workers, one per usable CPU; None in other modes.  They
+    are forked before the matrix is loaded, so they hold none of it.  A dead worker
+    is a numeric failure; leaving cancels the queued fits and joins every worker."""
+    if mode != "dilute":
+        yield None
+        return
+    import importlib
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    # each worker imports the fit's scipy modules (optimize imports special) while the parent parses
+    pool = ProcessPoolExecutor(len(os.sched_getaffinity(0)), multiprocessing.get_context("fork"),
+                               importlib.import_module, ("scipy.optimize",))
+    try:
+        pool.submit(int)  # a fork pool starts all of its workers at the first submission
+        yield pool
+    except BrokenProcessPool as exc:
+        raise FitDidNotConverge(f"a fit worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _analyze_dense(matrix, out, args) -> None:

@@ -19,7 +19,7 @@ class EmptySampleError(WordburstError):
 
 
 class FitDidNotConverge(WordburstError):
-    """Raised when an optimizer exhausts its budget without converging.
+    """Raised when an optimizer exhausts its budget, or when a fit's worker process dies.
 
     ``best`` carries the best iterate found so callers can inspect it.
     """

@@ -1,7 +1,10 @@
 """End-to-end command-line pipelines and exit codes."""
+import contextlib
 import csv
+import dataclasses
 import importlib.util
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,7 +17,11 @@ import pytest
 import wordburst.cli as cli
 from wordburst import rankstats
 from wordburst.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from wordburst.ensembles import build_ensembles, select_dilute
+from wordburst.errors import EmptySampleError, FitDidNotConverge
+from wordburst.fileio import write_json
 from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
+from wordburst.waiting import aggregate_distribution, ensemble_distribution, fit_stretched_exponential, risk_function
 
 from conftest import build_matrix, exhaust_least_squares
 
@@ -263,6 +270,65 @@ class TestAnalyzeDilute:
         skipped = {"skipped": "no optimizer start converged within its budget"}
         fits.update((k, skipped) for k in fitted)
         assert json.loads((tmp_path / "out" / "fits.json").read_text(encoding="utf-8")) == fits
+
+    @staticmethod
+    def reference_fits(path) -> dict:
+        """``fits.json`` of ``analyze --mode dilute`` with every fit run in-process, one after another."""
+        matrix = load_matrix(path)
+        index = build_ensembles(matrix)
+
+        def record(risk):
+            try:
+                return dataclasses.asdict(fit_stretched_exponential(risk))
+            except (EmptySampleError, FitDidNotConverge) as exc:
+                return {"skipped": str(exc)}
+
+        fits = {}
+        for ens in select_dilute(index):
+            with contextlib.suppress(EmptySampleError):  # a class without gaps has no record
+                fits[str(ens.k)] = record(risk_function(ensemble_distribution(ens, matrix)))
+        with contextlib.suppress(EmptySampleError):
+            fits["aggregate"] = record(risk_function(aggregate_distribution(index, matrix)))
+        return fits
+
+    @pytest.mark.parametrize("corpus", ["skipped-class", "no-gaps"])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys, monkeypatch, corpus):
+        if corpus == "skipped-class":
+            spec = write_spec(tmp_path, process="heterogeneous-poisson", horizon=60, n_words=120, rate=None,
+                              rate_distribution="log-uniform", tau_min=0.05, tau_max=300.0)
+            assert main(["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")]) == EXIT_OK
+            path = tmp_path / "sim" / "matrix.tsv"
+        else:
+            path = tmp_path / "m.tsv"
+            save_matrix(build_matrix({"a": {0: 1}, "b": {2: 1}}, horizon=5), path)
+        reference = self.reference_fits(path)
+        fitted = [key for key, record in reference.items() if "nu" in record]
+        if corpus == "skipped-class":
+            assert "aggregate" in fitted and 1 < len(fitted) < len(reference)  # fitted and skipped classes
+        else:
+            assert reference == {}
+        write_json(tmp_path / "reference.json", reference)
+        real_table = cli.write_distribution_csv
+        outputs = {}
+        for workers in (1, 3):
+            seen = []
+
+            def write_distribution_csv(*args):  # runs while the pool is open
+                seen.append(len(multiprocessing.active_children()))
+                return real_table(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+                m.setattr(cli, "write_distribution_csv", write_distribution_csv)
+                out = tmp_path / f"out-{workers}"
+                assert main(["analyze", "--input", str(path), "--mode", "dilute", "--output", str(out)]) == EXIT_OK
+            assert seen == [workers]
+            assert multiprocessing.active_children() == []
+            warned = "wordburst: warning: no waiting times in any sparse class\n"
+            assert capsys.readouterr().err == (warned if corpus == "no-gaps" else "")
+            assert (out / "fits.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outputs[1] == outputs[3]
 
 
 class TestAnalyzeDense:
@@ -554,6 +620,7 @@ class TestFailedRun:
                 assert main(argv + ["--output", str(out)]) == EXIT_DATA, fail_at
             assert capsys.readouterr().err == f"wordburst: injected at {fail_at[0]} call {fail_at[1]}\n"
             assert sorted(p.name for p in out.iterdir()) == ["notes.txt"], fail_at
+            assert multiprocessing.active_children() == [], fail_at
             assert main(argv + ["--output", str(out)]) == EXIT_OK
             assert sorted(p.name for p in out.iterdir()) == sorted(listed_files(out) + ["notes.txt"]), fail_at
             assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
@@ -568,6 +635,19 @@ class TestFailedRun:
         with pytest.raises(KeyboardInterrupt):
             main(argvs["dilute"] + ["--output", str(out)])
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert multiprocessing.active_children() == []
+
+    def test_dead_fit_worker_is_numeric_failure(self, tmp_path, capsys, monkeypatch, command_argv):
+        _, argvs = command_argv
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        monkeypatch.setattr(cli, "fit_stretched_exponential", lambda risk: os._exit(1))  # the forked workers inherit it
+        assert main(argvs["dilute"] + ["--output", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("wordburst: numeric failure: a fit worker process died: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert multiprocessing.active_children() == []
 
 
 class TestManifestMatchesFiles:
@@ -619,10 +699,12 @@ def test_every_traced_stage_is_a_cli_function():
 
 def test_commands_without_fits_do_not_import_scipy(tmp_path):
     """scipy costs about half a second per process; only fits and special
-    functions may load it."""
+    functions may load it, and dilute mode loads it only in its fit workers."""
     import wordburst
 
     spec = write_spec(tmp_path, horizon=214, n_words=300, rate=7.0)
+    (tmp_path / "sparse").mkdir()
+    sparse_spec = write_spec(tmp_path / "sparse", horizon=214, n_words=300, rate=0.1)
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("2005-02-11\tf\tthe cat\n2005-02-12\tf\tthe hat\n", encoding="utf-8")
     commands = [
@@ -631,6 +713,9 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
         ["ingest", "--input", str(corpus), "--output", str(tmp_path / "ing")],
         ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dense",
          "--output", str(tmp_path / "out")],
+        ["simulate", "--spec", str(sparse_spec), "--output", str(tmp_path / "sparse" / "sim")],
+        ["analyze", "--input", str(tmp_path / "sparse" / "sim" / "matrix.tsv"), "--mode", "dilute",
+         "--output", str(tmp_path / "out-dilute")],
     ]
     code = ("import json, sys\nfrom wordburst.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -639,7 +724,8 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [EXIT_OK] * 4, proc.stderr
+    assert codes == [EXIT_OK] * 6, proc.stderr
     assert scipy_modules == []
     assert (tmp_path / "out" / "xtilde.csv").is_file() and json.loads(
         (tmp_path / "out" / "dense.json").read_text(encoding="utf-8"))["word_count"] > 0
+    assert "nu" in json.loads((tmp_path / "out-dilute" / "fits.json").read_text(encoding="utf-8"))["aggregate"]
