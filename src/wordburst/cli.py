@@ -151,9 +151,13 @@ def cmd_analyze(args) -> int:
         "input": args.input, "mode": args.mode, "k_min": args.k_min,
         "k_max": args.k_max, "seed": args.seed, "emit_plots": args.emit_plots,
     }
-    analyze = {"rank": _analyze_rank, "dilute": _analyze_dilute, "dense": _analyze_dense}[args.mode]
-    with _Outputs(args.output, [args.input]) as out, _fit_pool(args.mode) as args.pool:
-        analyze(load_matrix(args.input), out, args)
+    with _Outputs(args.output, [args.input]) as out:
+        if args.mode == "dilute":
+            open(args.input, "rb").close()  # a missing input fails before any fit worker is forked
+            with _fit_pool() as pool:
+                _analyze_dilute(load_matrix(args.input), out, args, pool)
+        else:
+            {"rank": _analyze_rank, "dense": _analyze_dense}[args.mode](load_matrix(args.input), out, args)
         _write_manifest(out, "analyze", config)
     return EXIT_OK
 
@@ -169,14 +173,14 @@ def _analyze_rank(matrix, out, args) -> None:
         write_table(out("plot_rank.csv"), *rank_table(curve, fit), plot=True)
 
 
-def _analyze_dilute(matrix, out, args) -> None:
+def _analyze_dilute(matrix, out, args, pool) -> None:
     index = build_ensembles(matrix)
     selected = [e for e in select_dilute(index)
                 if (args.k_lo is None or e.k >= args.k_lo)
                 and (args.k_hi is None or e.k <= args.k_hi)]
     entries = []
     rescaled = []
-    fits = {}  # fits.json key -> future of its record
+    fits = {}  # fits.json key -> (future of a fit worker's record, or None; risk function)
     checks = []
     for ens in selected:
         try:
@@ -187,7 +191,7 @@ def _analyze_dilute(matrix, out, args) -> None:
         entries.append((ens.k, dist, risk))
         rescaled.append(rescale_time(risk, ens.k))
         checks.append(mean_waiting_check(dist))
-        fits[str(ens.k)] = args.pool.submit(_fit_record, risk)
+        fits[str(ens.k)] = (pool and pool.submit(_fit_record, risk), risk)
     write_distribution_csv(out("waiting.csv"), entries)
     write_rescaled_csv(out("rescaled.csv"), rescaled)
     rows = zeta_by_ensemble(selected, matrix, seed=args.seed)
@@ -200,17 +204,22 @@ def _analyze_dilute(matrix, out, args) -> None:
         write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, agg_risk))
         write_table(out("aggregate_binned.csv"), ["tau_lo", "tau_hi", "tau_center", "density"],
                     zip(*log_binned_density(np.repeat(agg.support, agg.counts))))
-        fits["aggregate"] = args.pool.submit(_fit_record, agg_risk)
+        fits["aggregate"] = (None, agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
-    write_json(out("fits.json"), {key: record.result() for key, record in fits.items()})
+    mine = {}  # the workers take the queue from the front; the parent fits from the back, aggregate first
+    for key, (future, risk) in reversed(fits.items()):
+        if future is None or future.cancel():
+            mine[key] = _fit_record(risk)
+    write_json(out("fits.json"), {key: mine[key] if key in mine else future.result()
+                                  for key, (future, _) in fits.items()})
     if args.emit_plots:
         write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"],
                     ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
 
 
 def _fit_record(risk) -> dict:
-    """The ``fits.json`` record of one risk function; runs in a fit worker."""
+    """The ``fits.json`` record of one risk function; runs in the parent or in a fit worker."""
     try:
         return asdict(fit_stretched_exponential(risk))
     except (EmptySampleError, FitDidNotConverge) as exc:
@@ -218,25 +227,28 @@ def _fit_record(risk) -> dict:
 
 
 @contextlib.contextmanager
-def _fit_pool(mode: str):
-    """Dilute mode's fit workers, one per usable CPU; None in other modes.  They
-    are forked before the matrix is loaded, so they hold none of it.  A dead worker
-    is a numeric failure; leaving cancels the queued fits and joins every worker."""
-    if mode != "dilute":
+def _fit_pool():
+    """Dilute mode's fit workers, forked before the matrix load: they import scipy while the parent
+    parses and hold none of the matrix.  Only the parent takes a Ctrl-C; a dead worker is a numeric
+    failure; leaving cancels the queued fits and joins every worker."""
+    # one per CPU besides the parent's; the cap bounds memory, as 200 fits of 20 ms gain little past four processes
+    workers = min(len(os.sched_getaffinity(0)), 4) - 1
+    if workers < 1:
         yield None
         return
-    import importlib
     import multiprocessing
+    import signal
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    # each worker imports the fit's scipy modules (optimize imports special) while the parent parses
-    pool = ProcessPoolExecutor(len(os.sched_getaffinity(0)), multiprocessing.get_context("fork"),
-                               importlib.import_module, ("scipy.optimize",))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), __import__, ("scipy.optimize",))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
     try:
-        pool.submit(int)  # a fork pool starts all of its workers at the first submission
+        pool.submit(int)  # forks every worker now; each keeps SIGINT blocked
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield pool
     except BrokenProcessPool as exc:
         raise FitDidNotConverge(f"a fit worker process died: {exc}") from exc
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pool.shutdown(cancel_futures=True)
 
 
