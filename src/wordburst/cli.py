@@ -232,7 +232,7 @@ def _fit_pool():
     parses and hold none of the matrix.  Only the parent takes a Ctrl-C; a dead worker is a numeric
     failure; leaving cancels the queued fits and joins every worker."""
     # one per CPU besides the parent's; the cap bounds memory, as 200 fits of 20 ms gain little past four processes
-    workers = min(len(os.sched_getaffinity(0)), 4) - 1
+    workers = min(len(os.sched_getaffinity(0)), 4) - 1 if hasattr(os, "sched_getaffinity") else 0
     if workers < 1:
         yield None
         return

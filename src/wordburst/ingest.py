@@ -26,6 +26,7 @@ from .matrix import WordDayMatrix
 
 _TAG_RE = re.compile(r"<!--.*?-->|<[^>]*>", re.DOTALL)
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # from 3.11, fromisoformat alone also takes 20050211
 # ASCII letters and digits lowered, other bytes spaces: on ASCII text its split gives _TOKEN_RE's tokens
 _TOKEN_TABLE = bytes(ord(chr(c).lower()) if chr(c).isascii() and chr(c).isalnum() else 32 for c in range(256))
 
@@ -197,6 +198,8 @@ def read_flat_corpus(path) -> tuple[list[Post], int]:
                 raise CorpusFormatError(f"{path}:{lineno}: expected date<TAB>feed_id<TAB>text")
             date_s, feed_id, text = parts
             try:
+                if not _DATE_RE.fullmatch(date_s):
+                    raise ValueError(date_s)
                 date = dt.date.fromisoformat(date_s)
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: bad date {date_s!r}") from None

@@ -14,11 +14,11 @@ them through the views below (totals, gaps, dense blocks) in bulk.
 
 Serialized form (UTF-8, one word per line, words sorted)::
 
-    #T=<horizon>
+    #T=<horizon in [1, MAX_HORIZON]>
     word<TAB>day:count,day:count,...
 
 with days ascending within a line and no TAB, LF, CR or surrogate code
-point in a word.  Days and counts are ASCII decimal integers below 2^63.
+point in a word.  Horizon, days and counts are ASCII decimals below 2^63.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .fileio import atomic_writer
 _CELLS_RE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")  # the code points a str may hold and UTF-8 may not
 _INT64_MAX = 2**63 - 1
+MAX_HORIZON = 10**7  # days; a generated word and a dense block are horizon-long vectors
 _BLOCK_LINES = 1024  # matrix.tsv lines checked and parsed per bulk call; small, as freed block buffers stay resident
 _BLOCK_CELLS = 1 << 16  # cells formatted per block in save_matrix
 
@@ -150,8 +151,8 @@ class WordDayMatrix:
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError("horizon must be >= 1" if self.horizon < 1 else f"horizon must be <= {MAX_HORIZON}")
         unsavable = [w for w in self.words if "\t" in w or "\n" in w or "\r" in w]
         if unsavable:  # matrix.tsv could not be read back
             raise ValueError(f"word {unsavable[0]!r}: contains TAB, LF or CR")
@@ -271,12 +272,9 @@ def load_matrix(path) -> WordDayMatrix:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#T="):
             raise CorpusFormatError(f"{path}: missing #T= header line")
-        try:
-            horizon = int(header[3:])
-        except ValueError:
-            raise CorpusFormatError(f"{path}: bad horizon in header {header!r}") from None
-        if horizon < 1:
-            raise CorpusFormatError(f"{path}: horizon {horizon} < 1")
+        digits = header[3:].lstrip("0")  # int() refuses more than 4300 digits, leading zeros included
+        if not (digits.isascii() and digits.isdigit() and _below_2_63(digits) and 1 <= int(digits) <= MAX_HORIZON):
+            raise CorpusFormatError(f"{path}: bad horizon in header {header!r}: not an integer in [1, {MAX_HORIZON}]")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -293,7 +291,7 @@ def load_matrix(path) -> WordDayMatrix:
                 _append_cells(buffers, *_parse_cells(path, pending))
                 pending = []
     _append_cells(buffers, *_parse_cells(path, pending))
-    matrix = WordDayMatrix(horizon, tuple(words), _indptr(lengths), *(np.frombuffer(b, np.int64) for b in buffers))
+    matrix = WordDayMatrix(int(digits), tuple(words), _indptr(lengths), *(np.frombuffer(b, np.int64) for b in buffers))
     problem = matrix._first_problem()
     if problem is not None:
         raise CorpusFormatError(f"{path}:{linenos[problem[0]]}: {problem[1]}")

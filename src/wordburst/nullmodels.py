@@ -29,12 +29,11 @@ import numpy as np
 
 from . import stretched
 from .errors import SpecValidationError
-from .matrix import WordDayMatrix
+from .matrix import MAX_HORIZON, WordDayMatrix
 from .seeding import EVENT_CHANNEL, MAX_INDEX, PARAM_CHANNEL, substreams
 
 PROCESSES = ("poisson", "heterogeneous-poisson", "stretched-renewal")
 RATE_DISTRIBUTIONS = ("log-uniform", "two-point")
-MAX_HORIZON = 10**7  # days; each generated word is a dense horizon-long vector first
 MAX_TOTAL = 1e18  # expected events of one Poisson word, rate * horizon: its total stays below 2^63
 MAX_EVENTS = 1e7  # expected events of one stretched-renewal word, sampled in one batch
 

@@ -359,6 +359,19 @@ class TestAnalyzeDilute:
         assert main(command_argv[1]["dilute"] + ["--output", str(tmp_path / "out")]) == EXIT_OK
         assert threads == [1, 1]
 
+    def test_no_cpu_affinity_forks_no_worker(self, tmp_path, monkeypatch, command_argv):
+        """macOS's os module has no sched_getaffinity; the command then fits every class itself."""
+        argv = command_argv[1]["dilute"]
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert main(argv + ["--output", str(tmp_path / "one-cpu")]) == EXIT_OK
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert main(argv + ["--output", str(tmp_path / "no-affinity")]) == EXIT_OK
+        one_cpu, no_affinity = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                                for name in ("one-cpu", "no-affinity"))
+        assert one_cpu == no_affinity
+
 
 class TestAnalyzeDense:
     def make_dense_matrix(self, tmp_path, seed=11):
@@ -494,6 +507,7 @@ class TestExitCodes:
         ("k-range-inverted", EXIT_USAGE),
         ("input-is-directory", EXIT_DATA),
         ("matrix-horizon-zero", EXIT_DATA),
+        ("matrix-horizon-10^14", EXIT_DATA),  # past the largest horizon; dilute mode would allocate 728 TiB
         ("matrix-not-utf8", EXIT_DATA),
         ("matrix-negative-cell", EXIT_DATA),
         ("matrix-cell-2^63", EXIT_DATA),
@@ -523,6 +537,8 @@ class TestExitCodes:
             argv[2] = str(tmp_path)
         elif case == "matrix-horizon-zero":
             matrix.write_text("#T=0\n", encoding="utf-8")
+        elif case == "matrix-horizon-10^14":
+            matrix.write_text("#T=100000000000000\nw\t0:1,2:1\n", encoding="utf-8")
         elif case == "matrix-negative-cell":
             matrix.write_text("#T=3\nw\t0:1,2:-1\n", encoding="utf-8")
         elif case == "matrix-cell-2^63":

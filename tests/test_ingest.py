@@ -187,10 +187,12 @@ class TestFlatCorpus:
         assert spaced == plain
 
     def test_bad_date_reports_position(self, tmp_path):
-        path = self.write(tmp_path, "02/11/2005\tf\ttext\n")
-        with pytest.raises(CorpusFormatError) as err:
-            read_flat_corpus(path)
-        assert ":1:" in str(err.value)
+        # from Python 3.11 on, date.fromisoformat alone also takes the basic and week forms
+        for date in ["02/11/2005", "20050211", "2005-W06-5", "2005W065"]:
+            path = self.write(tmp_path, f"2005-02-11\tf\ttext\n{date}\tf\ttext\n")
+            with pytest.raises(CorpusFormatError) as err:
+                read_flat_corpus(path)
+            assert str(err.value) == f"{path}:2: bad date {date!r}"
 
 
 class TestMatrixConstruction:
@@ -203,6 +205,7 @@ class TestMatrixConstruction:
         # nor could save_matrix encode these
         *((3, {w: {0: 1}}, f"word {w!r}: holds a surrogate, which UTF-8 cannot encode")
           for w in ["a\ud800", "\u00e9\udfff", "\ud83d\ude00"]),
+        (10**7 + 1, {}, "horizon must be <= 10000000"),
     ])
     def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
         with pytest.raises(ValueError) as err:
@@ -266,6 +269,9 @@ class TestMatrixSerialization:
             "#T=5\nw\t1:1\nv\t2:1\n",  # words not sorted
             "#T=5\nw\t1:1:1\n",       # malformed cell
             "#T=5\nw\t1:99999999999999999999\n",  # count beyond 64 bits
+            # the horizon takes the digits of days and counts, and no more days than any matrix may have
+            *(f"#T={horizon}\nw\t0:1\n" for horizon in ["+5", " 5", "1_0", "\u0663", "10000001"]),
+            pytest.param("#T=" + "9" * 5000 + "\n", id="#T=5000 digits"),  # past int()'s default digit limit
         ],
     )
     def test_rejects_malformed(self, tmp_path, content):
@@ -304,7 +310,8 @@ class TestMatrixSerialization:
         path.write_text("#T=5\nw\t0:9223372036854775807,4:0001\n", encoding="utf-8")
         assert load_matrix(path).series("w") == {0: 2**63 - 1, 4: 1}
 
-    @pytest.mark.parametrize("content", ["#T=5\n", "#T=5", "#T=5\n\n\n"])
+    @pytest.mark.parametrize("content", ["#T=5\n", "#T=5", "#T=5\n\n\n", "#T=0005\n",
+                                         pytest.param("#T=" + "0" * 4999 + "5\n", id="#T=5 after 4999 zeros")])
     def test_empty_matrix_loads(self, tmp_path, content):
         path = tmp_path / "m.tsv"
         path.write_text(content, encoding="utf-8")
