@@ -117,13 +117,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except WordburstError as exc:
-        if isinstance(exc, FitDidNotConverge):
-            print(f"wordburst: numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"wordburst: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, UnicodeDecodeError) as exc:
+    except FitDidNotConverge as exc:
+        print(f"wordburst: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (WordburstError, OSError, UnicodeDecodeError) as exc:
         print(f"wordburst: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -152,18 +149,13 @@ def cmd_analyze(args) -> int:
         "k_max": args.k_max, "seed": args.seed, "emit_plots": args.emit_plots,
     }
     with _Outputs(args.output, [args.input]) as out:
-        if args.mode == "dilute":
-            open(args.input, "rb").close()  # a missing input fails before any fit worker is forked
-            with _fit_pool() as pool:
-                _analyze_dilute(load_matrix(args.input), out, args, pool)
-        else:
-            {"rank": _analyze_rank, "dense": _analyze_dense}[args.mode](load_matrix(args.input), out, args)
+        {"rank": _analyze_rank, "dilute": _analyze_dilute, "dense": _analyze_dense}[args.mode](args.input, out, args)
         _write_manifest(out, "analyze", config)
     return EXIT_OK
 
 
-def _analyze_rank(matrix, out, args) -> None:
-    curve = rank_curve(matrix)
+def _analyze_rank(path, out, args) -> None:
+    curve = rank_curve(load_matrix(path))
     fit = fit_modified_power_law(curve)
     zipf = fit_zipf(curve)
     zm = fit_zipf_mandelbrot(curve)
@@ -173,49 +165,51 @@ def _analyze_rank(matrix, out, args) -> None:
         write_table(out("plot_rank.csv"), *rank_table(curve, fit), plot=True)
 
 
-def _analyze_dilute(matrix, out, args, pool) -> None:
+def _analyze_dilute(path, out, args) -> None:
+    open(path, "rb").close()  # a missing input fails before any fit worker is forked
+    with _fit_pool() as pool:
+        queue, futures = _dilute_tables(load_matrix(path), out, args, pool)  # the matrix is freed before any fit
+        fits = {}  # the workers take the queue from the front; the parent fits from the back, aggregate first
+        for key in reversed(queue):
+            future = futures.get(key)
+            fits[key] = _fit_record(queue[key]) if future is None or future.cancel() else future.result()
+        write_json(out("fits.json"), fits)  # keys sorted, whatever order the fits finished in
+
+
+def _dilute_tables(matrix, out, args, pool) -> tuple[dict, dict]:
+    """Write every dilute table but ``fits.json``; return its fit queue (key -> risk) and the workers' futures."""
     index = build_ensembles(matrix)
     selected = [e for e in select_dilute(index)
                 if (args.k_lo is None or e.k >= args.k_lo)
                 and (args.k_hi is None or e.k <= args.k_hi)]
-    entries = []
-    rescaled = []
-    fits = {}  # fits.json key -> (future of a fit worker's record, or None; risk function)
-    checks = []
+    classes = []
     for ens in selected:
         try:
             dist = ensemble_distribution(ens, matrix)
         except EmptySampleError:
             continue
-        risk = risk_function(dist)
-        entries.append((ens.k, dist, risk))
-        rescaled.append(rescale_time(risk, ens.k))
-        checks.append(mean_waiting_check(dist))
-        fits[str(ens.k)] = (pool and pool.submit(_fit_record, risk), risk)
-    write_distribution_csv(out("waiting.csv"), entries)
+        classes.append((ens.k, dist, risk_function(dist)))
+    queue = {str(k): risk for k, _, risk in classes}
+    futures = {key: pool.submit(_fit_record, risk) for key, risk in queue.items()} if pool else {}
+    write_distribution_csv(out("waiting.csv"), classes)
+    rescaled = [rescale_time(risk, k) for k, _, risk in classes]
     write_rescaled_csv(out("rescaled.csv"), rescaled)
     rows = zeta_by_ensemble(selected, matrix, seed=args.seed)
     write_zeta_csv(out("zeta.csv"), rows)
-    _write_meancheck_csv(out("meancheck.csv"), checks)
+    _write_meancheck_csv(out("meancheck.csv"), [mean_waiting_check(dist) for _, dist, _ in classes])
     write_spectrum_csv(index, out("spectrum.csv"))
     try:
         agg = aggregate_distribution(index, matrix)
-        agg_risk = risk_function(agg)
-        write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, agg_risk))
+        queue["aggregate"] = risk_function(agg)
+        write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, queue["aggregate"]))
         write_table(out("aggregate_binned.csv"), ["tau_lo", "tau_hi", "tau_center", "density"],
                     zip(*log_binned_density(np.repeat(agg.support, agg.counts))))
-        fits["aggregate"] = (None, agg_risk)
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
-    mine = {}  # the workers take the queue from the front; the parent fits from the back, aggregate first
-    for key, (future, risk) in reversed(fits.items()):
-        if future is None or future.cancel():
-            mine[key] = _fit_record(risk)
-    write_json(out("fits.json"), {key: mine[key] if key in mine else future.result()
-                                  for key, (future, _) in fits.items()})
     if args.emit_plots:
         write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"],
                     ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
+    return queue, futures
 
 
 def _fit_record(risk) -> dict:
@@ -230,7 +224,7 @@ def _fit_record(risk) -> dict:
 def _fit_pool():
     """Dilute mode's fit workers, forked before the matrix load: they import scipy while the parent
     parses and hold none of the matrix.  Only the parent takes a Ctrl-C; a dead worker is a numeric
-    failure; leaving cancels the queued fits and joins every worker."""
+    failure; leaving cancels the queued fits and joins every worker, terminated first on an error."""
     # one per CPU besides the parent's; the cap bounds memory, as 200 fits of 20 ms gain little past four processes
     workers = min(len(os.sched_getaffinity(0)), 4) - 1 if hasattr(os, "sched_getaffinity") else 0
     if workers < 1:
@@ -247,12 +241,17 @@ def _fit_pool():
         yield pool
     except BrokenProcessPool as exc:
         raise FitDidNotConverge(f"a fit worker process died: {exc}") from exc
+    except BaseException:
+        for worker in pool._processes.values():  # else shutdown waits for idle workers to import scipy
+            worker.terminate()
+        raise
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pool.shutdown(cancel_futures=True)
 
 
-def _analyze_dense(matrix, out, args) -> None:
+def _analyze_dense(path, out, args) -> None:
+    matrix = load_matrix(path)
     index = build_ensembles(matrix)
     selected = select_dense(index, args.k_lo, args.k_hi)
     empirical = pool_rescaled(selected, matrix)
@@ -283,8 +282,8 @@ def _analyze_dense(matrix, out, args) -> None:
 
 
 def cmd_simulate(args) -> int:
+    spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
     with _Outputs(args.output, [args.spec]) as out:
-        spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
         matrix = generate(spec)
         save_matrix(matrix, out("matrix.tsv"))
         write_json(out("spec.json"), spec.to_dict())

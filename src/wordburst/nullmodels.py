@@ -59,11 +59,11 @@ class SyntheticCorpusSpec:
         bad: list[str] = []
         if self.process not in PROCESSES:
             bad.append("process")
-        if not isinstance(self.horizon, int) or not 2 <= self.horizon <= MAX_HORIZON:
+        if type(self.horizon) is not int or not 2 <= self.horizon <= MAX_HORIZON:
             bad.append("horizon")
-        if not isinstance(self.n_words, int) or not 1 <= self.n_words <= MAX_INDEX + 1:
+        if type(self.n_words) is not int or not 1 <= self.n_words <= MAX_INDEX + 1:
             bad.append("n_words")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             bad.append("seed")
         max_rate = MAX_TOTAL / (1 if "horizon" in bad else self.horizon)
         if self.process == "poisson":
@@ -103,7 +103,7 @@ class SyntheticCorpusSpec:
     def from_json(cls, text: str) -> "SyntheticCorpusSpec":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
             raise SpecValidationError(f"spec is not valid JSON: {exc}", fields=["<document>"]) from exc
         if not isinstance(raw, dict):
             raise SpecValidationError("spec must be a JSON object", fields=["<document>"])

@@ -1,4 +1,5 @@
 """End-to-end command-line pipelines and exit codes."""
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -9,6 +10,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,8 @@ class TestSimulate:
         ({"horizon": 2, "n_words": 10**30, "seed": 1, "rate": 1e-9}, "n_words"),  # no 32-bit stream index
         ({"n_words": 2**32 + 1}, "n_words"),
         ({"process": "heterogeneous-poisson", "rate_distribution": "gamma"}, "rate_distribution"),
+        ({"n_words": True}, "n_words"),               # a JSON boolean is not an integer
+        ({"seed": True}, "seed"),
     ])
     def test_bad_spec_value_gives_one_line(self, tmp_path, capsys, fields, offending):
         spec = write_spec(tmp_path, **fields)
@@ -99,6 +104,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("wordburst: invalid generator spec") and err.count("\n") == 1
         assert repr(offending) in err
+        assert not (tmp_path / "out").exists()  # refused before the output directory is touched
 
     def test_spec_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -512,6 +518,7 @@ class TestExitCodes:
         ("matrix-negative-cell", EXIT_DATA),
         ("matrix-cell-2^63", EXIT_DATA),
         ("k-max-below-dense-default", EXIT_USAGE),
+        ("spec-seed-5000-digits", EXIT_DATA),  # past int()'s digit limit
         *((case, EXIT_DATA) for case in SCAN_LOG_FIELDS),
     ])
     def test_bad_input_gives_one_line_and_exit_code(self, tmp_path, capsys, case, expected):
@@ -535,6 +542,11 @@ class TestExitCodes:
             argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-max", "999"]
         elif case == "input-is-directory":
             argv[2] = str(tmp_path)
+        elif case == "spec-seed-5000-digits":
+            spec = write_spec(tmp_path, seed=0)
+            spec.write_text(spec.read_text(encoding="utf-8").replace('"seed": 0', '"seed": ' + "7" * 5000),
+                            encoding="utf-8")
+            argv = ["simulate", "--spec", str(spec)]
         elif case == "matrix-horizon-zero":
             matrix.write_text("#T=0\n", encoding="utf-8")
         elif case == "matrix-horizon-10^14":
@@ -553,6 +565,8 @@ class TestExitCodes:
         if case in SCAN_LOG_FIELDS:
             day, field, _ = SCAN_LOG_FIELDS[case]
             assert f"day {day}: {field}" in err
+        if case == "spec-seed-5000-digits":
+            assert err.startswith("wordburst: spec is not valid JSON: ")
 
 
 class TestOutputDirectory:
@@ -718,6 +732,27 @@ class TestFailedRun:
         with pytest.raises(ProcessLookupError):  # the child's own process group is empty
             os.killpg(proc.pid, 0)
 
+    def test_failed_load_stops_idle_fit_workers(self, tmp_path, capsys, monkeypatch):
+        """A worker still importing scipy is terminated, not waited for, when the command fails."""
+        def slow_import(*args):  # the pool's initializer, which the forked worker runs first
+            time.sleep(30)
+            return builtins.__import__(*args)
+
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("#T=3\nw\t0:x\n", encoding="utf-8")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "__import__", slow_import, raising=False)
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+        start = time.monotonic()
+        argv = ["analyze", "--input", str(matrix), "--mode", "dilute", "--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_DATA
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1  # the worker existed while the load failed
+        assert multiprocessing.active_children() == []
+        err = capsys.readouterr().err
+        assert err.startswith("wordburst: ") and err.count("\n") == 1, err
+
     def test_missing_input_forks_no_worker(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
@@ -772,6 +807,32 @@ def test_every_traced_stage_is_a_cli_function():
 
     assert [name for name in trace_cmd.SPAN_NAMES if not callable(getattr(cli, name, None))] == []
     assert any(trace_cmd.WRITER.match(name) and callable(value) for name, value in vars(cli).items())
+
+
+@pytest.mark.parametrize("mode, cpus", [("dilute", 1), ("dilute", 2), ("rank", 1)])
+def test_matrix_is_freed_before_the_first_fit(tmp_path, monkeypatch, command_argv, mode, cpus):
+    """The fits import scipy; the word-day matrix must be gone by then, so the two never add up
+    in the peak.  A forked fit worker holds no matrix either, as it is forked before the load."""
+    real_load, matrices, fitted = cli.load_matrix, [], []
+
+    def load_matrix(path):
+        matrix = real_load(path)
+        matrices.append(weakref.ref(matrix))
+        return matrix
+
+    def after_the_matrix(fit):
+        def checked(*args):
+            assert [ref for ref in matrices if ref() is not None] == []
+            fitted.append(fit.__name__)
+            return fit(*args)
+        return checked
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "load_matrix", load_matrix)
+    for name in ("fit_stretched_exponential", "fit_modified_power_law"):
+        monkeypatch.setattr(cli, name, after_the_matrix(getattr(cli, name)))
+    assert main(command_argv[1][mode] + ["--output", str(tmp_path / "out")]) == EXIT_OK
+    assert len(matrices) == 1 and fitted  # the parent fitted at least the aggregate or the rank curve
 
 
 def test_commands_without_fits_do_not_import_scipy(tmp_path):
