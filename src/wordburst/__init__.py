@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .ensembles import EnsembleIndex, build_ensembles, select_dense, select_dilute
 from .ingest import (
     CleaningReport,
-    Post,
     ScanDay,
     ScanLog,
     bin_daily,
@@ -47,7 +46,6 @@ __all__ = [
     "select_dense",
     "select_dilute",
     "CleaningReport",
-    "Post",
     "ScanDay",
     "ScanLog",
     "bin_daily",

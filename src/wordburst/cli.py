@@ -33,7 +33,7 @@ from .dense import (
 from .ensembles import build_ensembles, select_dense, select_dilute, write_spectrum_csv
 from .errors import EmptySampleError, FitDidNotConverge, WordburstError
 from .fileio import write_json, write_table
-from .ingest import ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
+from .ingest import CleaningReport, ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
 from .matrix import load_matrix, save_matrix
 from .nullmodels import SyntheticCorpusSpec, generate
 from .rankstats import (
@@ -126,11 +126,13 @@ def main(argv=None) -> int:
 
 
 def cmd_ingest(args) -> int:
-    log = ScanLog.from_json(Path(args.scan_log).read_text(encoding="utf-8")) if args.scan_log else None
+    log = None if args.scan_log is None else ScanLog.from_json(Path(args.scan_log).read_text(encoding="utf-8"))
     with _Outputs(args.output, [args.input, args.scan_log]) as out:
-        posts, horizon = read_flat_corpus(args.input)
-        matrix = bin_daily(posts, horizon)
-        matrix, report = clean_missing_scans(matrix, log or ScanLog.all_scanned(horizon))
+        matrix = bin_daily(*read_flat_corpus(args.input))
+        if log is None:  # nothing to clean: no per-day log, no copy of the matrix
+            report = CleaningReport([], {}, matrix.horizon)
+        else:
+            matrix, report = clean_missing_scans(matrix, log)
         save_matrix(matrix, out("matrix.tsv"))
         write_json(out("cleaning_report.json"), report.to_dict())
         _write_manifest(out, "ingest", {"input": args.input, "scan_log": args.scan_log})

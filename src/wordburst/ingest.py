@@ -3,7 +3,7 @@
 The pipeline turns a flat dated corpus file into a cleaned
 :class:`~wordburst.matrix.WordDayMatrix`:
 
-    read_flat_corpus -> Post records -> bin_daily -> clean_missing_scans
+    read_flat_corpus -> (day, text) posts -> bin_daily -> clean_missing_scans
 
 Day indices count from the corpus epoch (the earliest date); a day's
 entry for a word is the number of posts containing that word at least
@@ -29,15 +29,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # from 3.11, fromisoformat alone also takes 20050211
 # ASCII letters and digits lowered, other bytes spaces: on ASCII text its split gives _TOKEN_RE's tokens
 _TOKEN_TABLE = bytes(ord(chr(c).lower()) if chr(c).isascii() and chr(c).isalnum() else 32 for c in range(256))
-
-
-@dataclass(frozen=True)
-class Post:
-    """A dated text, the unit of word-presence counting."""
-
-    feed_id: str
-    day_index: int
-    text: str
 
 
 @dataclass(frozen=True)
@@ -68,10 +59,6 @@ class ScanLog:
     @property
     def horizon(self) -> int:
         return len(self.days)
-
-    @classmethod
-    def all_scanned(cls, horizon: int) -> "ScanLog":
-        return cls([ScanDay(i, True) for i in range(horizon)])
 
     @classmethod
     def from_json(cls, text: str) -> "ScanLog":
@@ -117,8 +104,8 @@ def tokenize(text: str) -> list[str]:
     return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
-def bin_daily(posts: list[Post], horizon: int) -> WordDayMatrix:
-    """Count, per word and day, the number of posts containing the word.
+def bin_daily(posts: list[tuple[int, str]], horizon: int) -> WordDayMatrix:
+    """Count, per word and day, the number of ``(day, text)`` posts containing the word.
 
     A word occurring several times inside one post counts once for that
     post; two posts on the same day each containing it count twice.
@@ -128,12 +115,12 @@ def bin_daily(posts: list[Post], horizon: int) -> WordDayMatrix:
     ids = array("q")  # the distinct words of each post, post after post
     ends = array("q")  # where each post's words end in ids
     days = array("q")
-    for post in posts:
-        if not 0 <= post.day_index < horizon:
-            raise ValueError(f"post day {post.day_index} outside horizon [0, {horizon})")
-        ids.extend(map(vocab.__getitem__, set(tokenize(post.text))))
+    for day, text in posts:
+        if not 0 <= day < horizon:
+            raise ValueError(f"post day {day} outside horizon [0, {horizon})")
+        ids.extend(map(vocab.__getitem__, set(tokenize(text))))
         ends.append(len(ids))
-        days.append(post.day_index)
+        days.append(day)
     words = sorted(vocab)
     row = np.empty(len(words), dtype=np.int64)
     row[np.fromiter(map(vocab.__getitem__, words), np.int64, len(words))] = np.arange(len(words))
@@ -181,13 +168,15 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     return cleaned, report
 
 
-def read_flat_corpus(path) -> tuple[list[Post], int]:
-    """Read a ``YYYY-MM-DD<TAB>feed_id<TAB>text`` file into posts.
+def read_flat_corpus(path) -> tuple[list[tuple[int, str]], int]:
+    """Read a ``YYYY-MM-DD<TAB>feed_id<TAB>text`` file into ``(day, text)`` posts.
 
-    The epoch is the earliest date present; day indices are calendar-day
-    offsets from it and the horizon is the latest offset + 1.
+    The feed id must be present but is not kept.  The epoch is the
+    earliest date present; days are calendar-day offsets from it and the
+    horizon is the latest offset + 1.
     """
-    dated: list[tuple[dt.date, str, str]] = []
+    ordinals = array("q")
+    texts: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -196,17 +185,15 @@ def read_flat_corpus(path) -> tuple[list[Post], int]:
             parts = line.split("\t", 2)
             if len(parts) != 3:
                 raise CorpusFormatError(f"{path}:{lineno}: expected date<TAB>feed_id<TAB>text")
-            date_s, feed_id, text = parts
+            date_s, _, text = parts
             try:
                 if not _DATE_RE.fullmatch(date_s):
                     raise ValueError(date_s)
-                date = dt.date.fromisoformat(date_s)
+                ordinals.append(dt.date.fromisoformat(date_s).toordinal())
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: bad date {date_s!r}") from None
-            dated.append((date, feed_id, text))
-    if not dated:
+            texts.append(text)
+    if not texts:
         raise EmptyCorpusError(f"{path}: empty corpus")
-    epoch = min(d for d, _, _ in dated)
-    posts = [Post(feed_id=f, day_index=(d - epoch).days, text=t) for d, f, t in dated]
-    horizon = max(p.day_index for p in posts) + 1
-    return posts, horizon
+    epoch = min(ordinals)
+    return [(o - epoch, t) for o, t in zip(ordinals, texts)], max(ordinals) - epoch + 1

@@ -337,7 +337,7 @@ def test_criterion_11_invariant_suite():
     base = build_matrix({"w": {d: 1 for d in range(40)}, "v": {3: 2, 17: 1}}, horizon=40)
     log = ScanLog([ScanDay(d, d % 11 != 5) for d in range(40)])
     once, _ = clean_missing_scans(base, log)
-    again, rep = clean_missing_scans(once, ScanLog.all_scanned(once.horizon))
+    again, rep = clean_missing_scans(once, ScanLog([ScanDay(d, True) for d in range(once.horizon)]))
     clean_ok = again == once and rep.removed_days == []
 
     dt, in_time = elapsed_ok(t0, 60.0)

@@ -198,6 +198,17 @@ class TestIngest:
         assert code == EXIT_DATA
         assert ":2:" in capsys.readouterr().err
 
+    def test_no_scan_log_on_the_widest_dates_is_quick(self, tmp_path):
+        # 3,652,059 days: with no log, no per-day record is built and no day is renumbered
+        corpus = self.corpus(tmp_path, ["0001-01-01\tf\tfirst post", "9999-12-31\tg\tlast post"])
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["ingest", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+        assert time.perf_counter() - start < 2
+        assert (out / "matrix.tsv").read_bytes() == b"#T=3652059\nfirst\t0:1\nlast\t3652058:1\npost\t0:1,3652058:1\n"
+        assert (out / "cleaning_report.json").read_bytes() == (
+            b'{\n  "reasons": {},\n  "removed_days": [],\n  "retained_horizon": 3652059\n}\n')
+
 
 class TestAnalyzeRank:
     def test_single_word_degenerate(self, tmp_path):
@@ -510,6 +521,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, expected", [
         ("scan-log-not-contiguous", EXIT_DATA),
         ("scan-log-other-horizon", EXIT_DATA),
+        ("scan-log-empty-path", EXIT_DATA),
         ("k-range-inverted", EXIT_USAGE),
         ("input-is-directory", EXIT_DATA),
         ("matrix-horizon-zero", EXIT_DATA),
@@ -535,7 +547,7 @@ class TestExitCodes:
                 day, field, value = SCAN_LOG_FIELDS[case]
                 entries[day][field] = value
             log.write_text(json.dumps({"days": entries}), encoding="utf-8")
-            argv = ["ingest", "--input", str(corpus), "--scan-log", str(log)]
+            argv = ["ingest", "--input", str(corpus), "--scan-log", "" if case == "scan-log-empty-path" else str(log)]
         elif case == "k-range-inverted":
             argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-min", "5", "--k-max", "2"]
         elif case == "k-max-below-dense-default":
@@ -567,6 +579,8 @@ class TestExitCodes:
             assert f"day {day}: {field}" in err
         if case == "spec-seed-5000-digits":
             assert err.startswith("wordburst: spec is not valid JSON: ")
+        if case == "scan-log-empty-path":
+            assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirectory:

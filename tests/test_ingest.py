@@ -1,6 +1,7 @@
 """Ingestion pipeline: tokenization, binning, cleaning, the flat corpus."""
 import json
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from wordburst import matrix as matrix_module
 from wordburst.errors import CorpusFormatError, EmptyCorpusError
 from wordburst.ingest import (
-    Post,
     ScanDay,
     ScanLog,
     bin_daily,
@@ -61,12 +61,12 @@ class TestTokenize:
 
 class TestBinDaily:
     def test_multiplicity_within_post_counts_once(self):
-        posts = [Post("f", 0, "cat cat cat")]
+        posts = [(0, "cat cat cat")]
         m = bin_daily(posts, horizon=3)
         assert m.series("cat") == {0: 1}
 
     def test_two_posts_same_day_count_twice(self):
-        posts = [Post("f", 0, "cat here"), Post("g", 0, "a cat there")]
+        posts = [(0, "cat here"), (0, "a cat there")]
         m = bin_daily(posts, horizon=1)
         assert m.series("cat") == {0: 2}
 
@@ -76,18 +76,18 @@ class TestBinDaily:
 
     def test_day_out_of_range(self):
         with pytest.raises(ValueError):
-            bin_daily([Post("f", 7, "x")], horizon=7)
+            bin_daily([(7, "x")], horizon=7)
 
     def test_binning_conserves_distinct_word_mass(self):
-        posts = [Post("f", 0, "a b a"), Post("f", 1, "b c"), Post("g", 1, "c c d")]
+        posts = [(0, "a b a"), (1, "b c"), (1, "c c d")]
         m = bin_daily(posts, horizon=2)
         total = sum(m.total(w) for w in m.words)
-        assert total == sum(len(set(tokenize(p.text))) for p in posts)
+        assert total == sum(len(set(tokenize(text))) for _, text in posts)
 
 
 class TestCleaning:
     def test_all_scans_performed_is_identity(self, tiny_matrix):
-        log = ScanLog.all_scanned(tiny_matrix.horizon)
+        log = ScanLog([ScanDay(d, True) for d in range(tiny_matrix.horizon)])
         cleaned, report = clean_missing_scans(tiny_matrix, log)
         assert cleaned == tiny_matrix
         assert report.removed_days == []
@@ -117,7 +117,7 @@ class TestCleaning:
     def test_cleaning_is_idempotent(self, tiny_matrix):
         log = ScanLog([ScanDay(d, d != 4) for d in range(10)])
         once, report = clean_missing_scans(tiny_matrix, log)
-        again, report2 = clean_missing_scans(once, ScanLog.all_scanned(once.horizon))
+        again, report2 = clean_missing_scans(once, ScanLog([ScanDay(d, True) for d in range(once.horizon)]))
         assert again == once
         assert report2.removed_days == []
 
@@ -135,7 +135,7 @@ class TestCleaning:
 
     def test_horizon_mismatch(self, tiny_matrix):
         with pytest.raises(ValueError):
-            clean_missing_scans(tiny_matrix, ScanLog.all_scanned(3))
+            clean_missing_scans(tiny_matrix, ScanLog([ScanDay(d, True) for d in range(3)]))
 
 
 class TestScanLog:
@@ -162,13 +162,12 @@ class TestFlatCorpus:
     def test_day_indices_from_epoch(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tfeedA\thello world\n2005-02-13\tfeedB\tmore text\n")
         posts, horizon = read_flat_corpus(path)
-        assert [p.day_index for p in posts] == [0, 2]
+        assert posts == [(0, "hello world"), (2, "more text")]
         assert horizon == 3
 
     def test_tabs_inside_text_are_kept(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tf\ttext\twith\ttabs\n")
-        (post,), _ = read_flat_corpus(path)
-        assert post.text == "text\twith\ttabs"
+        assert read_flat_corpus(path) == ([(0, "text\twith\ttabs")], 1)
 
     def test_empty_file_raises(self, tmp_path):
         with pytest.raises(EmptyCorpusError):
@@ -373,6 +372,27 @@ class TestMatrixMemory:
         save_matrix(WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)), path)
         monkeypatch.setattr(matrix_module, "_BLOCK_LINES", 64)
         assert self._peak_over_cells(lambda: load_matrix(path)) <= 1.6
+
+
+class TestReaderMemory:
+    def test_read_flat_corpus_holds_a_pair_per_post(self, tmp_path):
+        """Beyond its text, a post read costs about its (day, text) pair, a
+        list slot and a day: under 150 bytes, where a date object, a feed id
+        and a record per post come to over 260."""
+        rng = np.random.default_rng(5)
+        words = np.array(["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa"])
+        texts = [" ".join(rng.choice(words, 13))[:79] for _ in range(20_000)]
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(f"2005-{1 + i % 12:02d}-{1 + i % 28:02d}\tfeed{i % 50}\t{text}\n"
+                                for i, text in enumerate(texts)), encoding="utf-8")
+        read_flat_corpus(path)  # lazy imports happen outside the traced run
+        tracemalloc.start()
+        try:
+            read_flat_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - sum(map(sys.getsizeof, texts))) / len(texts) < 150
 
 
 def _reference_tsv(m: WordDayMatrix) -> str:

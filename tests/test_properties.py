@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordburst.ensembles import build_ensembles
-from wordburst.ingest import Post, ScanDay, ScanLog, bin_daily, clean_missing_scans, tokenize
+from wordburst.ingest import ScanDay, ScanLog, bin_daily, clean_missing_scans, tokenize
 from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import ModifiedPowerLawFit
 from wordburst.waiting import (
@@ -66,10 +66,9 @@ def test_tokens_are_lowercase_alnum(s):
 
 @given(st.lists(st.tuples(st.integers(0, 9), texts), max_size=12))
 def test_binning_conserves_distinct_word_mass(raw):
-    posts = [Post("f", day, text) for day, text in raw]
-    m = bin_daily(posts, horizon=10)
+    m = bin_daily(raw, horizon=10)
     lhs = sum(m.total(w) for w in m.words)
-    rhs = sum(len(set(tokenize(p.text))) for p in posts)
+    rhs = sum(len(set(tokenize(text))) for _, text in raw)
     assert lhs == rhs
 
 
@@ -99,10 +98,10 @@ def _reference_tokens(text):
 def _reference_bin_daily(posts, horizon):
     """Per-word, per-day post counts through a dict of dicts."""
     counts = {}
-    for post in posts:
-        for word in set(_reference_tokens(post.text)):
+    for day, text in posts:
+        for word in set(_reference_tokens(text)):
             days = counts.setdefault(word, {})
-            days[post.day_index] = days.get(post.day_index, 0) + 1
+            days[day] = days.get(day, 0) + 1
     return WordDayMatrix.from_mapping(horizon, counts)
 
 
@@ -123,15 +122,13 @@ def test_ascii_tokenize_is_findall_over_strip_markup(text):
 
 @given(_binning_cases(post_texts))
 def test_bin_daily_matches_dict_reference(case):
-    horizon, raw = case
-    posts = [Post("f", day, text) for day, text in raw]
+    horizon, posts = case
     assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)
 
 
 @given(_binning_cases(ascii_post_texts))
 def test_ascii_bin_daily_matches_dict_reference(case):
-    horizon, raw = case
-    posts = [Post("f", day, text) for day, text in raw]
+    horizon, posts = case
     assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)
 
 
@@ -173,7 +170,7 @@ def test_cleaning_idempotent(m, flags):
     log = ScanLog([ScanDay(i, f) for i, f in enumerate(flags)])
     once, report = clean_missing_scans(m, log)
     assert report.retained_horizon == once.horizon
-    again, report2 = clean_missing_scans(once, ScanLog.all_scanned(once.horizon))
+    again, report2 = clean_missing_scans(once, ScanLog([ScanDay(d, True) for d in range(once.horizon)]))
     assert again == once
     assert report2.removed_days == []
 

@@ -4,7 +4,7 @@ import pytest
 
 from wordburst import rankstats
 from wordburst.errors import EmptyCorpusError, FitDidNotConverge
-from wordburst.ingest import Post, bin_daily
+from wordburst.ingest import bin_daily
 from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import (
     RankCurve,
@@ -54,7 +54,7 @@ class TestRankCurve:
             "she sold sea shells by the sea shore",
             "the quick brown fox jumps over the lazy dog",
         ]
-        posts = [Post("f", i % 3, t) for i, t in enumerate(texts)]
+        posts = [(i % 3, t) for i, t in enumerate(texts)]
         curve = rank_curve(bin_daily(posts, horizon=3))
         assert curve.words[0] == "the"
 
