@@ -19,7 +19,7 @@ from .ingest import (
     read_flat_corpus,
     tokenize,
 )
-from .matrix import WordDayMatrix, load_matrix, merge_matrices, save_matrix
+from .matrix import WordDayMatrix, load_matrix, save_matrix
 from .nullmodels import SyntheticCorpusSpec, generate
 from .rankstats import fit_modified_power_law, rank_curve
 from .waiting import (
@@ -54,7 +54,6 @@ __all__ = [
     "tokenize",
     "WordDayMatrix",
     "load_matrix",
-    "merge_matrices",
     "save_matrix",
     "SyntheticCorpusSpec",
     "generate",

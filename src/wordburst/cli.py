@@ -318,7 +318,7 @@ class _Outputs:
         self.dir.mkdir(parents=True, exist_ok=True)
         try:
             listed = json.loads((self.dir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return self
         for name in (listed if isinstance(listed, list) else []) + ["manifest.json"]:
             self._remove(name)

@@ -1,15 +1,16 @@
-"""Dense-regime analysis: distributions of occurrences per day.
+"""Dense-regime analysis: pooled distributions of occurrences per day.
 
 For frequent words the gap statistics degenerate, so the object of
-interest becomes p(x, k): the probability that a word totalling k
-occurrences shows x of them on a given day.  Individual classes are too
-thin at large k, hence each word's daily counts are standardized to
+interest becomes how a word totalling k occurrences spreads them over
+the days.  Single words and classes are too thin at large k, hence each
+word's daily counts are standardized to
 
     xt = (x - k/T) / sigma
 
 with sigma the word's own (population) daily standard deviation, and
-the standardized values pooled over a k-range.  A uniform box-allocation
-generator, pooled as it is drawn, gives the matched independent-events null.
+only the standardized values pooled over a k-range are histogrammed.
+A uniform box-allocation generator, pooled as it is drawn, gives the
+matched independent-events null.
 """
 from __future__ import annotations
 
@@ -28,58 +29,12 @@ BIN_WIDTH = 0.25  # bin width of the pooled standardized counts
 WINDOW = (-6.0, 10.0)  # binned range of the standardized counts; values outside are clipped
 
 
-@dataclass
-class DailyCountDistribution:
-    """Histogram of occurrences-per-day for one word (zero days included)."""
-
-    k: int
-    horizon: int
-    probs: np.ndarray  # p(x) for x = 0 .. len(probs)-1
-    mean: float
-    std: float
-    degenerate: bool  # constant daily count, zero spread
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(len(self.probs))
-
-
-def daily_count_distribution(series, k: int, horizon: int) -> DailyCountDistribution:
-    """p(x, k) for one word whose day counts sum to ``k``.
-
-    ``series`` is ``{day: count}`` or a length-``horizon`` count vector.
-    """
-    x = _one_row(series, horizon)
-    total = int(x.sum())
-    if total != k:
-        raise ValueError(f"series total {total} does not match k={k}")
-    std = float(_standardize(x, k / horizon)[1][0])
-    return DailyCountDistribution(k=k, horizon=horizon, probs=np.bincount(x[0]) / horizon,
-                                  mean=k / horizon, std=std, degenerate=std == 0.0)
-
-
-def rescaled_values(series, k: int, horizon: int) -> np.ndarray | None:
-    """Standardized day counts (x - k/T)/sigma, or None when sigma is 0."""
-    xt, std = _standardize(_one_row(series, horizon), k / horizon)
-    return xt[0] if std[0] > 0 else None
-
-
-def _one_row(series, horizon: int) -> np.ndarray:
-    """(1 x horizon) count block of one word given as {day: count} or a day vector."""
-    if isinstance(series, np.ndarray):
-        if series.shape != (horizon,):
-            raise ValueError(f"expected a length-{horizon} vector")
-        return series.astype(np.int64)[None, :]
-    return WordDayMatrix.from_mapping(horizon, {"": series}).dense_block([0])
-
-
-def _standardize(block: np.ndarray, mean) -> tuple[np.ndarray, np.ndarray]:
+def _standardize(block: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """(x - mean)/sigma for each row of a (words x T) count block with
-    sigma > 0, and every row's sigma (population standard deviation);
-    ``mean`` is one number or a column of one per row."""
+    sigma > 0 (population standard deviation); ``mean`` is a column of one per row."""
     dev = block - mean
     std = np.sqrt(np.mean(dev**2, axis=1))
-    return dev[std > 0] / std[std > 0, None], std
+    return dev[std > 0] / std[std > 0, None]
 
 
 def _blocks(ks: np.ndarray, horizon: int, block_of):
@@ -129,7 +84,7 @@ def _pool(ks: np.ndarray, horizon: int, block_of) -> RescaledCountDistribution:
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     used = 0
     for block, mean in _blocks(ks, horizon, block_of):
-        xt, _ = _standardize(block, mean)
+        xt = _standardize(block, mean)
         counts += np.histogram(xt, bins=edges)[0]
         used += xt.shape[0]
     total_in = int(counts.sum())

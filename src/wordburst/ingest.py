@@ -68,7 +68,7 @@ class ScanLog:
                 ScanDay(d["day_index"], d["scan_performed"], d.get("new_post_count", 0))
                 for d in raw["days"]
             ]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusFormatError(f"bad scan log: {exc}") from exc
         return cls(days)
 

@@ -214,23 +214,6 @@ def _append_cells(buffers: tuple[array, array], days: np.ndarray, counts: np.nda
         buffer.frombytes(values.astype(np.int64, copy=False).tobytes())
 
 
-def merge_matrices(matrices: Iterable[WordDayMatrix]) -> WordDayMatrix:
-    """Union of matrices over the same horizon with disjoint vocabularies."""
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("nothing to merge")
-    horizon = matrices[0].horizon
-    merged: dict[str, dict[int, int]] = {}
-    for m in matrices:
-        if m.horizon != horizon:
-            raise ValueError(f"horizon mismatch: {m.horizon} != {horizon}")
-        overlap = merged.keys() & set(m.words)
-        if overlap:
-            raise ValueError(f"vocabulary overlap on merge: {sorted(overlap)[:5]}")
-        merged.update((w, m.series(w)) for w in m.words)
-    return WordDayMatrix.from_mapping(horizon, merged)
-
-
 def save_matrix(matrix: WordDayMatrix, path) -> None:
     """Write the matrix in its line-delimited form (atomic, deterministic)."""
     rows = max(1, _BLOCK_CELLS // matrix.horizon)  # per block; a row has at most horizon cells

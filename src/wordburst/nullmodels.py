@@ -103,7 +103,7 @@ class SyntheticCorpusSpec:
     def from_json(cls, text: str) -> "SyntheticCorpusSpec":
         try:
             raw = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, an integer past int()'s digit limit, deep nesting
             raise SpecValidationError(f"spec is not valid JSON: {exc}", fields=["<document>"]) from exc
         if not isinstance(raw, dict):
             raise SpecValidationError("spec must be a JSON object", fields=["<document>"])

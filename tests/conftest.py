@@ -23,6 +23,12 @@ def burst_matrix(ks, horizon, n_days, seed, name_prefix="bursty") -> WordDayMatr
     return WordDayMatrix.from_mapping(horizon, words)
 
 
+def union(parts) -> WordDayMatrix:
+    """One matrix holding the words of ``parts``, matrices over one horizon
+    with disjoint vocabularies."""
+    return WordDayMatrix.from_mapping(parts[0].horizon, {w: m.series(w) for m in parts for w in m.words})
+
+
 def exhaust_least_squares(monkeypatch) -> None:
     """Make every ``scipy.optimize.least_squares`` run report an exhausted
     budget (status 0) while returning the real solver's result."""

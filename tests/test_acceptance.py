@@ -13,10 +13,10 @@ from scipy import integrate, stats
 
 from wordburst import stretched
 from wordburst.cli import EXIT_OK, main
-from wordburst.dense import pool_rescaled, poisson_null_ensemble, rescaled_values
+from wordburst.dense import pool_rescaled, poisson_null_ensemble
 from wordburst.ensembles import build_ensembles, select_dense, select_dilute
 from wordburst.ingest import ScanDay, ScanLog, clean_missing_scans
-from wordburst.matrix import WordDayMatrix, merge_matrices, save_matrix
+from wordburst.matrix import save_matrix
 from wordburst.nullmodels import SyntheticCorpusSpec, generate
 from wordburst.rankstats import (
     RankCurve,
@@ -39,7 +39,7 @@ from wordburst.waiting import (
     zeta_by_ensemble,
 )
 
-from conftest import build_matrix, burst_matrix
+from conftest import build_matrix, burst_matrix, union
 
 HORIZON = 214
 
@@ -214,13 +214,11 @@ def test_criterion_08_dense_null_standardization():
     ks = np.linspace(1000, 2000, 11).astype(int)
     parts = [poisson_null_ensemble(int(k), HORIZON, 46, seed=108_000 + i, name_prefix=f"n{i}_")
              for i, k in enumerate(ks)]
-    m = merge_matrices(parts)
-    values = []
-    for w in sorted(m.words):
-        xt = rescaled_values(m.series(w), m.total(w), HORIZON)
-        if xt is not None:
-            values.append(xt)
-    pooled_vals = np.concatenate(values)
+    m = union(parts)
+    block = m.dense_block(np.arange(m.vocabulary_size))
+    dev = block - (block.sum(axis=1) / HORIZON)[:, None]
+    std = np.sqrt(np.mean(dev**2, axis=1))  # each word's population sigma; zero-spread words pool nothing
+    pooled_vals = (dev[std > 0] / std[std > 0, None]).ravel()
     mean, var = pooled_vals.mean(), pooled_vals.var()
     binned = pool_rescaled(select_dense(build_ensembles(m), 1000, 2000), m)
     widths = np.diff(binned.bin_edges)
@@ -246,7 +244,7 @@ def test_criterion_08_dense_null_standardization():
 
     dt, in_time = elapsed_ok(t0, 30.0)
     ok = (
-        len(values) >= 500
+        np.count_nonzero(std) >= 500
         and abs(mean) <= 0.05 and abs(var - 1.0) <= 0.1
         and abs(bmean) <= 0.05 and abs(bvar - 1.0) <= 0.1
         and pvalue > 0.01
@@ -261,10 +259,8 @@ def test_criterion_09_bursty_tail_direction():
     ks = [1000 + 9 * i for i in range(112)]  # spread over [1000, 2000]
     bursty = burst_matrix(ks, HORIZON, n_days=10, seed=109)
     pooled_b = pool_rescaled(select_dense(build_ensembles(bursty), 1000, 2000), bursty)
-    null = merge_matrices(
-        [poisson_null_ensemble(int(k), HORIZON, 1, seed=109_000 + i, name_prefix=f"n{i}_")
-         for i, k in enumerate(ks)]
-    )
+    null = union([poisson_null_ensemble(int(k), HORIZON, 1, seed=109_000 + i, name_prefix=f"n{i}_")
+                  for i, k in enumerate(ks)])
     pooled_n = pool_rescaled(select_dense(build_ensembles(null), 1000, 2000), null)
     tail_b = pooled_b.tail_mass(3.0)
     tail_n = pooled_n.tail_mass(3.0)
@@ -292,10 +288,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         for name in ("zeta.csv", "waiting.csv", "rescaled.csv", "fits.json", "manifest.json")
     )
 
-    dense_src = merge_matrices(
-        [poisson_null_ensemble(1000 + 100 * i, HORIZON, 30, seed=110_500 + i, name_prefix=f"k{i}_")
-         for i in range(4)]
-    )
+    dense_src = union([poisson_null_ensemble(1000 + 100 * i, HORIZON, 30, seed=110_500 + i, name_prefix=f"k{i}_")
+                       for i in range(4)])
     dense_path = tmp_path / "dense.tsv"
     save_matrix(dense_src, dense_path)
     den1, den2 = tmp_path / "e1", tmp_path / "e2"

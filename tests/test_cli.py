@@ -29,6 +29,9 @@ from wordburst.waiting import aggregate_distribution, ensemble_distribution, fit
 from conftest import build_matrix, exhaust_least_squares
 
 
+NESTING = 100_000  # nested JSON arrays, far past the decoder's recursion limit
+
+
 def write_spec(tmp_path, **kw):
     spec = dict(process="poisson", horizon=400, n_words=800, seed=4, rate=0.05)
     spec.update(kw)
@@ -531,6 +534,8 @@ class TestExitCodes:
         ("matrix-cell-2^63", EXIT_DATA),
         ("k-max-below-dense-default", EXIT_USAGE),
         ("spec-seed-5000-digits", EXIT_DATA),  # past int()'s digit limit
+        ("spec-nested-arrays", EXIT_DATA),  # past the JSON decoder's recursion limit
+        ("scan-log-nested-arrays", EXIT_DATA),
         *((case, EXIT_DATA) for case in SCAN_LOG_FIELDS),
     ])
     def test_bad_input_gives_one_line_and_exit_code(self, tmp_path, capsys, case, expected):
@@ -546,7 +551,8 @@ class TestExitCodes:
             if case in SCAN_LOG_FIELDS:
                 day, field, value = SCAN_LOG_FIELDS[case]
                 entries[day][field] = value
-            log.write_text(json.dumps({"days": entries}), encoding="utf-8")
+            log.write_text("[" * NESTING if case == "scan-log-nested-arrays" else json.dumps({"days": entries}),
+                           encoding="utf-8")
             argv = ["ingest", "--input", str(corpus), "--scan-log", "" if case == "scan-log-empty-path" else str(log)]
         elif case == "k-range-inverted":
             argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-min", "5", "--k-max", "2"]
@@ -558,6 +564,10 @@ class TestExitCodes:
             spec = write_spec(tmp_path, seed=0)
             spec.write_text(spec.read_text(encoding="utf-8").replace('"seed": 0', '"seed": ' + "7" * 5000),
                             encoding="utf-8")
+            argv = ["simulate", "--spec", str(spec)]
+        elif case == "spec-nested-arrays":
+            spec = tmp_path / "spec.json"
+            spec.write_text("[" * NESTING, encoding="utf-8")
             argv = ["simulate", "--spec", str(spec)]
         elif case == "matrix-horizon-zero":
             matrix.write_text("#T=0\n", encoding="utf-8")
@@ -577,9 +587,11 @@ class TestExitCodes:
         if case in SCAN_LOG_FIELDS:
             day, field, _ = SCAN_LOG_FIELDS[case]
             assert f"day {day}: {field}" in err
-        if case == "spec-seed-5000-digits":
+        if case in ("spec-seed-5000-digits", "spec-nested-arrays"):
             assert err.startswith("wordburst: spec is not valid JSON: ")
-        if case == "scan-log-empty-path":
+        if case == "scan-log-nested-arrays":
+            assert err.startswith("wordburst: bad scan log: ")
+        if case in ("scan-log-empty-path", "spec-nested-arrays", "scan-log-nested-arrays"):
             assert not (tmp_path / "out").exists()
 
 
@@ -606,6 +618,14 @@ class TestOutputDirectory:
                      "--output", str(sim)]) == EXIT_OK
         assert (sim / "matrix.tsv").exists() and (sim / "rank.csv").exists()
         assert not (sim / "spec.json").exists()
+
+    def test_nested_manifest_counts_as_no_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("[" * NESTING, encoding="utf-8")
+        assert main(["simulate", "--spec", str(write_spec(tmp_path)), "--output", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == listed_files(out)
+        assert listed_files(out) == ["manifest.json", "matrix.tsv", "spec.json"]
 
     def test_manifest_cannot_delete_outside_the_directory(self, tmp_path):
         outside = tmp_path / "precious.txt"

@@ -5,19 +5,18 @@ from scipy import stats
 
 from wordburst import dense
 from wordburst.dense import (
-    daily_count_distribution,
+    BIN_WIDTH,
     matched_poisson_null,
     pool_rescaled,
     poisson_null_ensemble,
-    rescaled_values,
     sigma_scaling,
     write_xtilde_csv,
 )
 from wordburst.ensembles import build_ensembles, select_dense
-from wordburst.matrix import WordDayMatrix, merge_matrices
+from wordburst.matrix import WordDayMatrix
 from wordburst.seeding import substream
 
-from conftest import build_matrix, burst_matrix
+from conftest import build_matrix, burst_matrix, union
 
 
 def in_range(m, k_lo, k_hi):
@@ -26,48 +25,33 @@ def in_range(m, k_lo, k_hi):
 
 
 class TestDailyCountDistribution:
-    def test_three_day_example(self):
-        d = daily_count_distribution({0: 2, 2: 1}, k=3, horizon=3)
-        np.testing.assert_allclose(d.probs, [1 / 3, 1 / 3, 1 / 3])
-        assert d.mean == pytest.approx(1.0)
-        assert not d.degenerate
-
-    def test_constant_series_is_degenerate(self):
-        d = daily_count_distribution({0: 2, 1: 2, 2: 2}, k=6, horizon=3)
-        assert d.degenerate
-        assert d.std == 0.0
-
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            daily_count_distribution({0: 2}, k=3, horizon=3)
-
-    def test_mass_conservation(self):
-        rng = np.random.default_rng(1)
-        counts = rng.multinomial(777, np.full(100, 0.01))
-        d = daily_count_distribution(counts, k=777, horizon=100)
-        assert np.dot(d.support, d.probs) * 100 == pytest.approx(777.0)
-
     def test_box_allocation_spread(self):
         # multinomial day variance is k*(1/T)*(1-1/T); at k=1000, T=214
         # the standard deviation is about 2.156
         k, horizon = 1000, 214
         target = np.sqrt(k / horizon * (1 - 1 / horizon))
         assert target == pytest.approx(2.156, abs=1e-3)
-        m = poisson_null_ensemble(k, horizon, 400, seed=9)
-        stds = [daily_count_distribution(m.series(w), k, horizon).std for w in m.words]
-        assert np.mean(stds) == pytest.approx(target, rel=0.01)
+        # two tiny classes let the scaling fit span a decade
+        m = union([poisson_null_ensemble(k, horizon, 400, seed=9),
+                   poisson_null_ensemble(100, horizon, 2, seed=10),
+                   poisson_null_ensemble(300, horizon, 2, seed=11)])
+        row = next(r for r in sigma_scaling(build_ensembles(m), m).rows if r.k == k)
+        assert row.n_words == 400
+        assert row.sigma_abs == pytest.approx(target, rel=0.01)
 
 
 class TestRescaledPooling:
     def test_day_at_the_mean_maps_to_zero(self):
-        horizon = 4
-        series = {0: 2, 1: 2, 2: 3, 3: 1}  # k=8, mean 2; days 0,1 sit at the mean
-        xt = rescaled_values(series, k=8, horizon=horizon)
-        assert xt[0] == pytest.approx(0.0)
-        assert xt[1] == pytest.approx(0.0)
+        m = build_matrix({"w": {0: 2, 1: 2, 2: 3, 3: 1}}, horizon=4)  # k=8, mean 2; days 0,1 sit at the mean
+        pooled = pool_rescaled(in_range(m, 8, 8), m)
+        zero_bin = np.searchsorted(pooled.bin_edges, 0.0, side="right") - 1
+        assert pooled.density[zero_bin] * BIN_WIDTH == 0.5  # two of the four days; the others are at +-sqrt(2)
 
     def test_degenerate_word_returns_none(self):
-        assert rescaled_values({0: 2, 1: 2}, k=4, horizon=2) is None
+        """A zero-spread word has no standardized values: the pool skips it."""
+        m = build_matrix({"w": {0: 2, 1: 2}}, horizon=2)
+        pooled = pool_rescaled(in_range(m, 4, 4), m)
+        assert (pooled.word_count, pooled.skipped_words) == (0, 1)
 
     def test_null_pool_is_standardized(self):
         m = poisson_null_ensemble(1500, 214, 500, seed=12)
@@ -127,7 +111,7 @@ class TestBlocks:
                  for i, k in enumerate([40, 90, 200, 450])]
         parts.append(burst_matrix([90, 90, 200, 450, 450], horizon, n_days=5, seed=45, name_prefix="b"))
         parts.append(build_matrix({f"flat{i}": {d: 15 for d in range(horizon)} for i in range(3)}, horizon))
-        m = merge_matrices(parts)  # classes of 3 to 12 words, zero-spread words among them
+        m = union(parts)  # classes of 3 to 12 words, zero-spread words among them
         index = build_ensembles(m)
         classes = [index[k] for k in index.ks()]
         pooled, table = pool_rescaled(classes, m), sigma_scaling(index, m)
@@ -242,7 +226,7 @@ class TestSigmaScaling:
             poisson_null_ensemble(k, 214, n_words, seed + i, name_prefix=f"n{i}_")
             for i, k in enumerate(ks)
         ]
-        return merge_matrices(parts)
+        return union(parts)
 
     def test_null_exponents(self):
         m = self.build_null_by_k([100, 300, 1000, 3000], 80, seed=21)

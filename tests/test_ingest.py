@@ -21,7 +21,7 @@ from wordburst.ingest import (
     read_flat_corpus,
     tokenize,
 )
-from wordburst.matrix import WordDayMatrix, load_matrix, merge_matrices, save_matrix
+from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
 
 from conftest import build_matrix
 
@@ -226,17 +226,6 @@ class TestMatrixConstruction:
             horizon, {w: {d: int(c) for d, c in enumerate(x) if c} for w, x in rows if x.any()})
         for a in (m.indptr, m.days, m.counts):
             assert a.dtype == np.int64 and not a.flags.writeable
-
-    def test_merge_rejects_nothing_other_horizon_and_overlap(self):
-        a = build_matrix({"w": {0: 1}}, horizon=3)
-        for matrices, message in [
-            ([], "nothing to merge"),
-            ([a, build_matrix({"v": {0: 1}}, horizon=4)], "horizon mismatch: 4 != 3"),
-            ([a, build_matrix({"v": {1: 1}, "w": {2: 1}}, horizon=3)], "vocabulary overlap on merge: ['w']"),
-        ]:
-            with pytest.raises(ValueError) as err:
-                merge_matrices(matrices)
-            assert str(err.value) == message
 
 
 class TestMatrixSerialization:
