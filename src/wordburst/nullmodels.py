@@ -10,7 +10,7 @@ Three word-event processes over an integer day grid:
   like a Poisson word of rate 1/tau_c.  Pooling such words fattens the
   gap tail even though every single word is memoryless.
 * ``stretched-renewal``: word event times accumulate i.i.d. gaps from
-  the continuous stretched-exponential law (inverse-CDF sampled), then
+  the continuous stretched-exponential law (powers of Gamma draws), then
   land in day bins.
 
 Generation is deterministic given the spec: word i consumes only its
@@ -89,9 +89,11 @@ class SyntheticCorpusSpec:
             if not (_real(self.nu) and 0 < self.nu <= 2):
                 bad.append("nu")
             if not bad:
-                with np.errstate(all="ignore"):  # a tiny nu overflows both gammas into NaN
-                    events = self.horizon / stretched.moment(1, self.a, self.nu)
-                if not events <= MAX_EVENTS:
+                try:
+                    mean_gap = stretched.moment(1, self.a, self.nu)
+                except OverflowError:  # math.gamma overflows for a nu below about 0.01165
+                    mean_gap = math.inf
+                if not (math.isfinite(mean_gap) and self.horizon <= MAX_EVENTS * mean_gap):
                     bad += ["a", "nu"]
         if bad:
             raise SpecValidationError(f"invalid generator spec, offending fields: {bad}", fields=bad)
@@ -181,7 +183,7 @@ def generate_heterogeneous(spec: SyntheticCorpusSpec) -> WordDayMatrix:
 def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     """Renewal events with stretched-exponential gaps, floored to days.
 
-    Gaps are inverse-CDF transforms of the word's uniform stream; events
+    Gaps are powers of Gamma draws from the word's event stream; events
     past the horizon are discarded.  Several events in one day simply
     raise that day's count; downstream gap analysis sees one event-day.
     """

@@ -6,11 +6,12 @@ Density on (0, inf):
 
 Substituting u = (a*tau)**nu turns every integral into a gamma integral,
 which gives exact expressions for the normalization, the survival
-function, the quantile function and all moments:
+function and all moments, and shows that u is Gamma(1/nu, 1) distributed,
+so a gap is sampled as a power of one Gamma draw:
 
-    S(t)        = Q(1/nu, (a*t)**nu)          (regularized upper gamma)
-    quantile(q) = gammainccinv(1/nu, q)**(1/nu) / a
-    <tau**m>    = gamma((m+1)/nu) / (a**m * gamma(1/nu))
+    S(t)     = Q(1/nu, (a*t)**nu)          (regularized upper gamma)
+    <tau**m> = gamma((m+1)/nu) / (a**m * gamma(1/nu))
+    tau      = u**(1/nu) / a,   u ~ Gamma(1/nu, 1)
 
 For nu = 1/2 these reduce to C = a/2, S(t) = (1+u)*exp(-u) with
 u = sqrt(a*t), <tau> = 6/a, <tau^2> = 120/a^2, so the dispersion ratio
@@ -18,6 +19,8 @@ u = sqrt(a*t), <tau> = 6/a, <tau^2> = 120/a^2, so the dispersion ratio
 exponential with mean 1/a.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,19 +47,10 @@ def survival(t, a: float, nu: float):
     return special.gammaincc(1.0 / nu, np.power(a * t, nu))
 
 
-def quantile(q, a: float, nu: float):
-    """Inverse of the survival function: t such that S(t) = q."""
-    from scipy import special
-    _check(a, nu)
-    q = np.asarray(q, dtype=float)
-    return np.power(special.gammainccinv(1.0 / nu, q), 1.0 / nu) / a
-
-
 def moment(m: int, a: float, nu: float) -> float:
-    """Exact m-th moment of the law."""
-    from scipy import special
+    """Exact m-th moment of the law; math.gamma raises OverflowError past about 171."""
     _check(a, nu)
-    return special.gamma((m + 1.0) / nu) / (a**m * special.gamma(1.0 / nu))
+    return math.gamma((m + 1.0) / nu) / (a**m * math.gamma(1.0 / nu))
 
 
 def dispersion_ratio(nu: float) -> float:
@@ -65,8 +59,9 @@ def dispersion_ratio(nu: float) -> float:
 
 
 def sample(rng: np.random.Generator, size: int, a: float, nu: float) -> np.ndarray:
-    """Draw ``size`` gaps by inverse-CDF sampling from uniform variates."""
-    return quantile(rng.random(size), a, nu)
+    """Draw ``size`` gaps as powers of Gamma(1/nu, 1) variates."""
+    _check(a, nu)
+    return rng.gamma(1.0 / nu, size=size) ** (1.0 / nu) / a
 
 
 def _check(a: float, nu: float) -> None:

@@ -100,6 +100,9 @@ class TestSimulate:
         ({"process": "heterogeneous-poisson", "rate_distribution": "gamma"}, "rate_distribution"),
         ({"n_words": True}, "n_words"),               # a JSON boolean is not an integer
         ({"seed": True}, "seed"),
+        ({"process": "stretched-renewal", "a": 1.0, "nu": 0.005}, "nu"),  # both gammas overflow
+        ({"process": "stretched-renewal", "a": 1.0, "nu": 0.008}, "nu"),  # gamma(2/nu) overflows: no finite mean gap
+        ({"process": "stretched-renewal", "a": 1e-309, "nu": 0.5}, "a"),  # a mean gap past the float range
     ])
     def test_bad_spec_value_gives_one_line(self, tmp_path, capsys, fields, offending):
         spec = write_spec(tmp_path, **fields)
@@ -875,11 +878,15 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
     import wordburst
 
     spec = write_spec(tmp_path, horizon=214, n_words=300, rate=7.0)
+    stretched_spec = tmp_path / "stretched.json"
+    stretched_spec.write_text(json.dumps({"process": "stretched-renewal", "horizon": 214, "n_words": 300,
+                                          "seed": 1, "a": 1.0, "nu": 0.5}), encoding="utf-8")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("2005-02-11\tf\tthe cat\n2005-02-12\tf\tthe hat\n", encoding="utf-8")
     commands = [
         ["--version"],
         ["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")],
+        ["simulate", "--spec", str(stretched_spec), "--output", str(tmp_path / "sim-stretched")],
         ["ingest", "--input", str(corpus), "--output", str(tmp_path / "ing")],
         ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dense",
          "--output", str(tmp_path / "out")],
@@ -891,7 +898,7 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [EXIT_OK] * 4, proc.stderr
+    assert codes == [EXIT_OK] * 5, proc.stderr
     assert scipy_modules == []
     assert (tmp_path / "out" / "xtilde.csv").is_file() and json.loads(
         (tmp_path / "out" / "dense.json").read_text(encoding="utf-8"))["word_count"] > 0

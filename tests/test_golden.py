@@ -91,7 +91,7 @@ GOLDEN = {
     "sim-poisson/matrix.tsv": "69a1c043e765e1305806edc319f358c8d1e7b8a2533ae370ce4b59b4566d37ff",
     "sim-poisson/spec.json": "ce3216aef41fa9185874f478a8a18f5f628f031b291f814770d5e9652d1cf60e",
     "sim-stretched/manifest.json": "48bd1038a2cc355517ea5343882057987decd617b2f24f1e07fc8e301087769c",
-    "sim-stretched/matrix.tsv": "4f4cf3912d426d1c683e0455797d1b56f4e0abb18430a9bf12eddae4d41c34cb",
+    "sim-stretched/matrix.tsv": "32b27dbc072494deb6d2e6f1497e407681db27417f476ec6f012d4e1dd36e2a8",
     "sim-stretched/spec.json": "f73ed30e7921077fe4ef4f9a44a643b51f7385ba6ec5cad64e88a68cdd147faa",
 }
 

@@ -202,8 +202,9 @@ class TestStretchedRenewal:
         assert z.second_moment == pytest.approx(120 / a**2, rel=0.10)
         assert z.zeta == pytest.approx(10 / 3, abs=0.15)
 
-    def test_sampler_ks_against_analytic_survival(self):
-        a, nu, n = 0.1, 0.5, 10_000
+    @pytest.mark.parametrize("a, nu", [(0.1, 0.05), (0.2, 0.3), (0.1, 0.5), (1.0, 1.0), (0.05, 1.5), (2.0, 2.0)])
+    def test_sampler_ks_against_analytic_survival(self, a, nu):
+        n = 20_000
         rng = np.random.default_rng(14)
         sample = stretched.sample(rng, n, a, nu)
         result = stats.kstest(sample, lambda t: 1 - stretched.survival(t, a, nu))

@@ -49,13 +49,6 @@ def test_survival_matches_pdf_integral():
         assert stretched.survival(t, a, nu) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_quantile_inverts_survival():
-    a, nu = 0.05, 0.5
-    q = np.array([0.999, 0.7358, 0.5, 0.01, 1e-4])
-    t = stretched.quantile(q, a, nu)
-    np.testing.assert_allclose(stretched.survival(t, a, nu), q, rtol=1e-9)
-
-
 def test_sampler_survival_at_unit_scale():
     # at u = sqrt(a*t) = 1, i.e. t = 1/a, survival is 2/e
     a, nu = 0.1, 0.5
