@@ -190,6 +190,7 @@ def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     mean_gap = stretched.moment(1, spec.a, spec.nu)
     batch = max(16, int(spec.horizon / mean_gap * 1.25) + 8)
 
+    @np.errstate(over="ignore")  # a gap that overflows is inf, which lands past the horizon
     def day_counts(rng: np.random.Generator) -> np.ndarray:
         counts = np.zeros(spec.horizon, dtype=np.int64)
         t = np.zeros(1)

@@ -11,7 +11,9 @@ measurable by residual comparison alone.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,13 +26,13 @@ SIMPLEX_BUDGET = 10_000
 OBJECTIVE_TOL = 1e-9
 
 # fixed multi-start corners of (log a1, log a2, g1, dg) space
-_STARTS = (
+_STARTS = np.array([
     (np.log(0.5), np.log(1e-3), 0.8, 0.8),
     (np.log(0.1), np.log(1e-4), 0.6, 1.0),
     (np.log(1.0), np.log(1e-5), 1.0, 0.5),
     (np.log(0.01), np.log(1e-6), 0.5, 1.5),
     (np.log(2.0), np.log(1e-2), 1.2, 0.3),
-)
+])
 
 
 @dataclass
@@ -92,10 +94,52 @@ def _log_curve(curve: RankCurve) -> tuple[np.ndarray, np.ndarray]:
     return curve.ranks[idx].astype(float), np.log(curve.counts[idx].astype(float))
 
 
-def _simplex(log_y: np.ndarray, log_denominator, starts, **options) -> list:
+def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> SimpleNamespace:
+    """scipy's non-adaptive, unbounded ``minimize(f, x0, method="Nelder-Mead")``, step for step."""
+    budget = iter(range(maxfev))  # next() raises StopIteration instead of evaluation maxfev + 1
+
+    def evaluate(x):
+        next(budget)
+        return f(x)
+
+    def trial(c):
+        # c = 1 reflects, 2 expands, 0.5 and -0.5 contract outside and inside: each is scipy's point, bit for bit
+        x = (1 + c) * xbar - c * sim[-1]
+        return x, evaluate(x)
+
+    moved = np.where(x0 != 0, 1.05 * x0, 0.00025)  # vertex k + 1 moves coordinate k of the start
+    sim = np.vstack([x0, np.where(np.eye(x0.size, dtype=bool), moved, x0)])
+    fsim = np.full(len(sim), np.inf)
+    with suppress(StopIteration):  # the budget is spent; the result is read from the sorted simplex
+        for k in range(len(sim)):
+            fsim[k] = evaluate(sim[k])
+        while True:
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / x0.size
+            xr, fxr = trial(1)
+            if fxr < fsim[0]:
+                xe, fxe = trial(2)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc, fxc = trial(0.5 if outside else -0.5)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, len(sim)):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+    return SimpleNamespace(x=sim[np.argsort(fsim)[0]], fun=np.min(fsim), success=next(budget, None) is not None)
+
+
+def _simplex(log_y: np.ndarray, log_denominator, starts, xatol: float) -> list[SimpleNamespace]:
     """Nelder-Mead from each start on the log-space squared error, log A profiled
     out; ``log_denominator(theta)`` is None outside the bounds.  One result per start."""
-    from scipy import optimize
 
     def objective(theta):
         log_d = log_denominator(theta)
@@ -105,11 +149,10 @@ def _simplex(log_y: np.ndarray, log_denominator, starts, **options) -> list:
         r = log_y - (log_a - log_d)
         return float(r @ r)
 
-    return [optimize.minimize(objective, start, method="Nelder-Mead",
-                              options={"maxfev": SIMPLEX_BUDGET, "fatol": OBJECTIVE_TOL, **options})
-            for start in starts]
+    return [_nelder_mead(objective, start, SIMPLEX_BUDGET, xatol, OBJECTIVE_TOL) for start in starts]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is a bad vertex
 def fit_modified_power_law(curve: RankCurve) -> ModifiedPowerLawFit:
     """Fit the two-exponent law in log-log space.
 
@@ -165,6 +208,7 @@ def fit_zipf(curve: RankCurve) -> BaselineFit:
                        a=None, nu=None, residual=float(np.sqrt(np.mean(resid**2))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is a bad vertex
 def fit_zipf_mandelbrot(curve: RankCurve) -> BaselineFit:
     """Shifted power law count = A / (1 + a*x)**nu, amplitude profiled."""
     xs, log_y = _log_curve(curve)
@@ -178,8 +222,8 @@ def fit_zipf_mandelbrot(curve: RankCurve) -> BaselineFit:
             return None
         return nu * np.log1p(np.exp(la) * xs)
 
-    starts = ((np.log(0.1), 1.0), (np.log(1.0), 0.8), (np.log(0.01), 1.5))
-    best = min(_simplex(log_y, log_denominator, starts), key=lambda s: s.fun)
+    starts = np.array([(np.log(0.1), 1.0), (np.log(1.0), 0.8), (np.log(0.01), 1.5)])
+    best = min(_simplex(log_y, log_denominator, starts, xatol=1e-4), key=lambda s: s.fun)
     la, nu = best.x
     return BaselineFit(A=float(np.exp(np.mean(log_y + log_denominator(best.x)))),
                        lam=None, a=float(np.exp(la)), nu=float(nu),

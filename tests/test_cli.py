@@ -3,6 +3,7 @@ import builtins
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import multiprocessing
@@ -43,6 +44,19 @@ def write_spec(tmp_path, **kw):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_in_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so that numpy's warnings reach stderr as a user sees them."""
+    import wordburst
+
+    src = str(Path(wordburst.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "wordburst.cli", *map(str, argv)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestSimulate:
@@ -123,6 +137,15 @@ class TestSimulate:
         path.write_text('{"process": "poisson", "rate": 0.1}', encoding="utf-8")
         assert main(["simulate", "--spec", str(path), "--output", str(tmp_path / "out")]) == EXIT_DATA
         assert capsys.readouterr().err == "wordburst: missing spec fields: ['horizon', 'n_words', 'seed']\n"
+
+    def test_overflowing_gaps_print_no_warning(self, tmp_path):
+        """With a tiny a the gaps overflow to inf, past the horizon: no word, and no warning."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"process": "stretched-renewal", "horizon": 214, "n_words": 2000, "seed": 1,
+                                    "a": 3.4e-296, "nu": 0.1}), encoding="utf-8")
+        proc = run_in_process("simulate", "--spec", spec, "--output", tmp_path / "out")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert (tmp_path / "out" / "matrix.tsv").read_bytes() == b"#T=214\n"
 
     def test_total_histogram_centered_on_rate_times_horizon(self, tmp_path):
         spec = write_spec(tmp_path, horizon=214, n_words=10_000, rate=0.2, seed=6)
@@ -251,6 +274,17 @@ class TestAnalyzeRank:
                      "--output", str(out)]) == EXIT_NUMERIC
         assert capsys.readouterr().err == "wordburst: numeric failure: simplex exhausted its budget on every start\n"
         assert not (out / "manifest.json").exists()
+
+
+    def test_steep_curve_prints_no_warning(self, tmp_path):
+        """Simplex vertices of a steep curve overflow the denominator: their non-finite cost
+        makes them bad vertices, silently, and the fit keeps its bytes."""
+        counts = {f"w{x:05d}": {0: int(1e15 // x**4.557)} for x in range(1, 1784)}
+        save_matrix(build_matrix(counts, horizon=1), tmp_path / "m.tsv")
+        proc = run_in_process("analyze", "--input", tmp_path / "m.tsv", "--mode", "rank", "--output", tmp_path / "out")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert sha256(tmp_path / "out" / "rank.csv") == "bd43e2efb5b13ce9d9885abfd504de85def6e0f61c1ea7814a7c3d992ffadbb6"
+        assert sha256(tmp_path / "out" / "fit.json") == "68706308550858d834be945d27a2cfa4c334c4a77f43ea6d6cb6c720678f861e"
 
 
 class TestAnalyzeDilute:
@@ -873,8 +907,8 @@ def test_matrix_is_freed_before_the_first_fit(tmp_path, monkeypatch, command_arg
 
 
 def test_commands_without_fits_do_not_import_scipy(tmp_path):
-    """scipy costs about half a second per process; only fits and special
-    functions may load it."""
+    """scipy costs about half a second per process; only the dilute fits and the
+    special functions may load it.  Rank mode's simplex is a port, not an import."""
     import wordburst
 
     spec = write_spec(tmp_path, horizon=214, n_words=300, rate=7.0)
@@ -890,6 +924,10 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
         ["ingest", "--input", str(corpus), "--output", str(tmp_path / "ing")],
         ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dense",
          "--output", str(tmp_path / "out")],
+        ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "rank",
+         "--output", str(tmp_path / "rank-sim")],
+        ["analyze", "--input", str(tmp_path / "ing" / "matrix.tsv"), "--mode", "rank",
+         "--output", str(tmp_path / "rank-ing")],
     ]
     code = ("import json, sys\nfrom wordburst.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -898,7 +936,10 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [EXIT_OK] * 5, proc.stderr
+    assert codes == [EXIT_OK] * 7, proc.stderr
     assert scipy_modules == []
     assert (tmp_path / "out" / "xtilde.csv").is_file() and json.loads(
         (tmp_path / "out" / "dense.json").read_text(encoding="utf-8"))["word_count"] > 0
+    # the simulated curve is fitted by the simplex; the three-word corpus is degenerate
+    assert not json.loads((tmp_path / "rank-sim" / "fit.json").read_text(encoding="utf-8"))["degenerate"]
+    assert (tmp_path / "rank-ing" / "rank.csv").is_file()

@@ -1,6 +1,7 @@
 """Rank curve construction and the two-exponent fit against baselines."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wordburst import rankstats
 from wordburst.errors import EmptyCorpusError, FitDidNotConverge
@@ -178,3 +179,84 @@ def test_rank_csv(tmp_path):
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "rank,count,fitted"
     assert len(lines) == 201
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` is scipy's Nelder-Mead step for step: the same ``x`` bits, ``fun`` (NaN
+    equal to NaN) and ``success``.  scipy is the reference here only; the fits never import it."""
+
+    @staticmethod
+    def assert_matches_scipy(f, x0, maxfev, xatol=1e-4, fatol=1e-9):
+        from scipy import optimize
+
+        with np.errstate(invalid="ignore"):  # inf - inf in the convergence test, in both
+            want = optimize.minimize(f, x0, method="Nelder-Mead",
+                                     options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+            got = rankstats._nelder_mead(f, x0, maxfev, xatol, fatol)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun == want.fun or (np.isnan(got.fun) and np.isnan(want.fun))
+        assert got.success == want.success
+
+    @staticmethod
+    def objective(kind, center, weights, bound):
+        """A quadratic or Rosenbrock-like bowl: plain, floored to whole steps so that costs tie,
+        at 1e12 outside a box as the rank fits are, or at inf and nan past two faces of the box."""
+
+        def bowl(x):
+            if kind.startswith("rosenbrock"):
+                return float(np.sum(weights[1:] * (x[1:] - x[:-1] ** 2) ** 2 + (center[:-1] - x[:-1]) ** 2))
+            return float(np.sum(weights * (x - center) ** 2))
+
+        def f(x):
+            if kind.endswith("box") and np.any(np.abs(x - center) > bound):
+                return 1e12
+            if kind.endswith("nonfinite") and x[0] - center[0] > bound:
+                return np.inf
+            if kind.endswith("nonfinite") and x[-1] - center[-1] < -bound:
+                return np.nan
+            return float(np.floor(bowl(x))) if kind.endswith("steps") else bowl(x)
+
+        return f
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_scipy(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        coordinates = st.one_of(st.just(0.0), st.floats(-3, 3, allow_subnormal=False))
+        x0 = np.array(data.draw(st.lists(coordinates, min_size=n, max_size=n), label="x0"))
+        center = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n), label="center"))
+        weights = np.array(data.draw(st.lists(st.floats(0.1, 100), min_size=n, max_size=n), label="weights"))
+        kind = data.draw(st.sampled_from([f"{bowl}{wall}" for bowl in ("quadratic", "rosenbrock")
+                                          for wall in ("", "-steps", "-box", "-nonfinite")]), label="kind")
+        bound = data.draw(st.floats(0.05, 4), label="bound")
+        maxfev = data.draw(st.one_of(st.integers(0, n + 1), st.integers(n + 2, 400), st.just(2000)), label="maxfev")
+        xatol = data.draw(st.sampled_from([1e-4, 1e-10]), label="xatol")
+        fatol = data.draw(st.sampled_from([1e-9, 1.0]), label="fatol")  # step costs differ by exactly 1.0
+        self.assert_matches_scipy(self.objective(kind, center, weights, bound), x0, maxfev, xatol, fatol)
+
+    @pytest.mark.parametrize("kind, x0, center, weights, bound", [
+        ("quadratic-box", (0.4, -0.3, 0.3), (0.2, 0.6, -0.6), (44.0, 30.0, 20.0), 0.9),
+        ("quadratic-nonfinite", (-0.4, 0.8, -0.1), (0.5, 0.3, 0.6), (31.0, 34.0, 16.0), 0.7),
+        ("quadratic-steps", (0.6, -0.6, 0.8), (-0.8, -0.1, 0.2), (32.0, 35.0, 45.0), 1.0),
+    ])
+    def test_every_budget_including_inside_a_shrink(self, kind, x0, center, weights, bound):
+        """Every budget up to convergence, so runs stop after each evaluation once: inside the
+        initial evaluations, inside an iteration, and part way through each of many shrinks
+        (these simplices press against the 1e12 or inf wall, or meet tied costs)."""
+        from scipy import optimize
+
+        x0 = np.array(x0)
+        f = self.objective(kind, np.array(center), np.array(weights), bound)
+        calls, ends = [], [x0.size + 1]  # evaluations spent when each scipy iteration ended
+
+        def counted(x):
+            calls.append(1)
+            return f(x)
+
+        used = optimize.minimize(counted, x0, method="Nelder-Mead", callback=lambda result: ends.append(len(calls)),
+                                 options={"maxfev": 10_000, "xatol": 1e-4, "fatol": 1e-9}).nfev
+        # a shrink follows a failed reflection and contraction, then evaluates every other vertex
+        shrinks = [start for start, end in zip(ends, ends[1:]) if end - start == x0.size + 2]
+        assert len(shrinks) >= 10 and used < 300
+        for maxfev in range(used + 2):
+            self.assert_matches_scipy(f, x0, maxfev)
