@@ -14,10 +14,14 @@ from __future__ import annotations
 import datetime as dt
 import html
 import json
+import os
 import re
+import stat
 from array import array
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -56,9 +60,10 @@ class ScanLog:
             if d.new_post_count < 0:
                 raise CorpusFormatError(f"scan log day {i}: new_post_count must be >= 0, got {d.new_post_count}")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.days)
+    def check_horizon(self, horizon: int) -> None:
+        """Refuse a log that does not span the corpus's ``horizon`` days."""
+        if len(self.days) != horizon:
+            raise CorpusFormatError(f"scan log horizon {len(self.days)} != corpus horizon {horizon}")
 
     @classmethod
     def from_json(cls, text: str) -> "ScanLog":
@@ -104,7 +109,7 @@ def tokenize(text: str) -> list[str]:
     return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
-def bin_daily(posts: list[tuple[int, str]], horizon: int) -> WordDayMatrix:
+def bin_daily(posts: Iterable[tuple[int, str]], horizon: int) -> WordDayMatrix:
     """Count, per word and day, the number of ``(day, text)`` posts containing the word.
 
     A word occurring several times inside one post counts once for that
@@ -145,8 +150,7 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     contiguously and word totals recomputed; words left with no days
     disappear.
     """
-    if log.horizon != matrix.horizon:
-        raise CorpusFormatError(f"scan log horizon {log.horizon} != matrix horizon {matrix.horizon}")
+    log.check_horizon(matrix.horizon)
     removed: dict[int, str] = {}
     in_gap = False
     for day in log.days:
@@ -168,32 +172,45 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     return cleaned, report
 
 
-def read_flat_corpus(path) -> tuple[list[tuple[int, str]], int]:
+def read_flat_corpus(path) -> tuple[Iterator[tuple[int, str]], int]:
     """Read a ``YYYY-MM-DD<TAB>feed_id<TAB>text`` file into ``(day, text)`` posts.
 
     The feed id must be present but is not kept.  The epoch is the
     earliest date present; days are calendar-day offsets from it and the
-    horizon is the latest offset + 1.
+    horizon is the latest offset + 1.  The file must be a regular file,
+    read in two passes: this call checks every line, and the posts it
+    returns read the file again, one at a time, and can be iterated once.
     """
-    ordinals = array("q")
-    texts: list[str] = []
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be read a second time
+        raise CorpusFormatError(f"{path}: not a regular file")
+    dates, ordinals = {}, array("q")  # date string -> ordinal; each post's ordinal
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 continue
-            parts = line.split("\t", 2)
+            parts = line.rstrip("\n").split("\t", 2)
             if len(parts) != 3:
                 raise CorpusFormatError(f"{path}:{lineno}: expected date<TAB>feed_id<TAB>text")
-            date_s, _, text = parts
-            try:
-                if not _DATE_RE.fullmatch(date_s):
-                    raise ValueError(date_s)
-                ordinals.append(dt.date.fromisoformat(date_s).toordinal())
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: bad date {date_s!r}") from None
-            texts.append(text)
-    if not texts:
+            date_s = parts[0]
+            if date_s not in dates:  # each distinct date is parsed once
+                try:
+                    if not _DATE_RE.fullmatch(date_s):
+                        raise ValueError(date_s)
+                    dates[date_s] = dt.date.fromisoformat(date_s).toordinal()
+                except ValueError:
+                    raise CorpusFormatError(f"{path}:{lineno}: bad date {date_s!r}") from None
+            ordinals.append(dates[date_s])
+    if not ordinals:
         raise EmptyCorpusError(f"{path}: empty corpus")
     epoch = min(ordinals)
-    return [(o - epoch, t) for o, t in zip(ordinals, texts)], max(ordinals) - epoch + 1
+    return _reread(path, dates, ordinals, epoch), max(ordinals) - epoch + 1
+
+
+def _reread(path, dates: dict[str, int], ordinals: array, epoch: int) -> Iterator[tuple[int, str]]:
+    """The second pass of :func:`read_flat_corpus`: each checked post as ``(day, text)``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line.rstrip("\n").split("\t", 2) for line in fh if line != "\n")
+        for ordinal, parts in zip_longest(ordinals, lines, fillvalue=[""]):  # a post missing from either pass fails
+            if len(parts) != 3 or dates.get(parts[0]) != ordinal:
+                raise CorpusFormatError(f"{path}: the file changed after its lines were checked")
+            yield ordinal - epoch, parts[2]

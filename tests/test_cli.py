@@ -157,8 +157,8 @@ class TestSimulate:
 
 
 class TestIngest:
-    def corpus(self, tmp_path, lines):
-        path = tmp_path / "corpus.txt"
+    def corpus(self, tmp_path, lines, name="corpus.txt"):
+        path = tmp_path / name
         path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
         return path
 
@@ -237,6 +237,66 @@ class TestIngest:
         assert (out / "matrix.tsv").read_bytes() == b"#T=3652059\nfirst\t0:1\nlast\t3652058:1\npost\t0:1,3652058:1\n"
         assert (out / "cleaning_report.json").read_bytes() == (
             b'{\n  "reasons": {},\n  "removed_days": [],\n  "retained_horizon": 3652059\n}\n')
+
+    @pytest.mark.parametrize("case", ["bad-line", "bad-date", "empty-corpus", "scan-log-one-day-short"])
+    def test_bad_corpus_is_refused_before_the_directory_is_touched(self, tmp_path, capsys, monkeypatch, case):
+        good = self.corpus(tmp_path, ["2005-02-11\tf\tthe cat", "2005-02-13\tf\tthe hat"])
+        log = tmp_path / "scans.json"
+        log.write_text(json.dumps({"days": [{"day_index": d, "scan_performed": True} for d in range(3)]}),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(good), "--scan-log", str(log), "--output", str(out)]) == EXIT_OK
+        before = file_bytes(out)
+        lines = {"bad-line": ["2005-02-11\tf\tok", "broken line"],
+                 "bad-date": ["2005-02-11\tf\tok", "2005-02-30\tf\tx"],
+                 "empty-corpus": [],
+                 "scan-log-one-day-short": ["2005-02-11\tf\tthe cat", "2005-02-14\tf\tthe hat"]}[case]
+        bad = self.corpus(tmp_path, lines, "bad.txt")
+        binned, real_bin_daily = [], cli.bin_daily
+        monkeypatch.setattr(cli, "bin_daily", lambda *args: binned.append(args) or real_bin_daily(*args))
+        assert main(["ingest", "--input", str(bad), "--scan-log", str(log), "--output", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("wordburst: ") and err.count("\n") == 1
+        if case == "scan-log-one-day-short":
+            assert err == "wordburst: scan log horizon 3 != corpus horizon 4\n"
+        assert binned == []  # refused before a post was tokenized
+        assert file_bytes(out) == before
+
+    @pytest.mark.parametrize("change", ["line-removed", "line-added", "date-moved", "line-broken"])
+    def test_corpus_changed_between_the_passes_is_one_line(self, tmp_path, capsys, monkeypatch, change):
+        lines = ["2005-02-11\tf\tthe cat", "2005-02-12\tf\tthe hat", "2005-02-13\tf\ta cat"]
+        corpus = self.corpus(tmp_path, lines)
+        changed = {"line-removed": lines[:2], "line-added": lines + lines[:1],
+                   "date-moved": [lines[0], lines[2], lines[1]], "line-broken": lines[:2] + ["a cat"]}[change]
+        read = cli.read_flat_corpus
+
+        def read_then_change(path):
+            result = read(path)
+            self.corpus(tmp_path, changed)
+            return result
+
+        monkeypatch.setattr(cli, "read_flat_corpus", read_then_change)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(corpus), "--output", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"wordburst: {corpus}: the file changed after its lines were checked\n"
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_a_pipe_is_refused_unopened(self, tmp_path, capsys, monkeypatch):
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        real_open = builtins.open
+
+        def open_no_fifo(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == fifo:
+                raise AssertionError("opened the pipe, which blocks until a writer comes")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_no_fifo)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(fifo), "--output", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"wordburst: {fifo}: not a regular file\n"
+        assert not out.exists()
 
 
 class TestAnalyzeRank:

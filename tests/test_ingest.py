@@ -162,12 +162,13 @@ class TestFlatCorpus:
     def test_day_indices_from_epoch(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tfeedA\thello world\n2005-02-13\tfeedB\tmore text\n")
         posts, horizon = read_flat_corpus(path)
-        assert posts == [(0, "hello world"), (2, "more text")]
+        assert list(posts) == [(0, "hello world"), (2, "more text")]
         assert horizon == 3
 
     def test_tabs_inside_text_are_kept(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tf\ttext\twith\ttabs\n")
-        assert read_flat_corpus(path) == ([(0, "text\twith\ttabs")], 1)
+        posts, horizon = read_flat_corpus(path)
+        assert (list(posts), horizon) == ([(0, "text\twith\ttabs")], 1)
 
     def test_empty_file_raises(self, tmp_path):
         with pytest.raises(EmptyCorpusError):
@@ -364,24 +365,26 @@ class TestMatrixMemory:
 
 
 class TestReaderMemory:
-    def test_read_flat_corpus_holds_a_pair_per_post(self, tmp_path):
-        """Beyond its text, a post read costs about its (day, text) pair, a
-        list slot and a day: under 150 bytes, where a date object, a feed id
-        and a record per post come to over 260."""
+    def test_ingest_holds_one_post_text_at_a_time(self, tmp_path):
+        """Reading and binning a corpus of long posts peaks below a quarter of
+        the size of its texts: the posts are read lazily and each text is
+        freed once it has been tokenized."""
         rng = np.random.default_rng(5)
         words = np.array(["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa"])
-        texts = [" ".join(rng.choice(words, 13))[:79] for _ in range(20_000)]
+        texts = [" ".join(rng.choice(words, 400)) for _ in range(2_000)]
         path = tmp_path / "corpus.txt"
         path.write_text("".join(f"2005-{1 + i % 12:02d}-{1 + i % 28:02d}\tfeed{i % 50}\t{text}\n"
                                 for i, text in enumerate(texts)), encoding="utf-8")
-        read_flat_corpus(path)  # lazy imports happen outside the traced run
+        text_bytes = sum(map(sys.getsizeof, texts))
+        del texts
+        bin_daily(*read_flat_corpus(path))  # lazy imports happen outside the traced run
         tracemalloc.start()
         try:
-            read_flat_corpus(path)
+            bin_daily(*read_flat_corpus(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - sum(map(sys.getsizeof, texts))) / len(texts) < 150
+        assert peak < text_bytes / 4
 
 
 def _reference_tsv(m: WordDayMatrix) -> str:
