@@ -127,15 +127,12 @@ def main(argv=None) -> int:
 
 def cmd_ingest(args) -> int:
     log = None if args.scan_log is None else ScanLog.from_json(Path(args.scan_log).read_text(encoding="utf-8"))
-    posts, horizon = read_flat_corpus(args.input)  # every line is checked before the directory is touched
-    if log is not None:
-        log.check_horizon(horizon)
+    matrix = bin_daily(read_flat_corpus(args.input))  # every refusal comes before the directory is touched
+    if log is None:  # nothing to clean: no per-day log, no copy of the matrix
+        report = CleaningReport([], {}, matrix.horizon)
+    else:
+        matrix, report = clean_missing_scans(matrix, log)
     with _Outputs(args.output, [args.input, args.scan_log]) as out:
-        matrix = bin_daily(posts, horizon)
-        if log is None:  # nothing to clean: no per-day log, no copy of the matrix
-            report = CleaningReport([], {}, matrix.horizon)
-        else:
-            matrix, report = clean_missing_scans(matrix, log)
         save_matrix(matrix, out("matrix.tsv"))
         write_json(out("cleaning_report.json"), report.to_dict())
         _write_manifest(out, "ingest", {"input": args.input, "scan_log": args.scan_log})

@@ -3,25 +3,24 @@
 The pipeline turns a flat dated corpus file into a cleaned
 :class:`~wordburst.matrix.WordDayMatrix`:
 
-    read_flat_corpus -> (day, text) posts -> bin_daily -> clean_missing_scans
+    read_flat_corpus -> (date ordinal, text) posts -> bin_daily -> clean_missing_scans
 
-Day indices count from the corpus epoch (the earliest date); a day's
-entry for a word is the number of posts containing that word at least
-once, never the within-post multiplicity.
+The corpus is read once, one post at a time, so it can be a pipe.  Day
+indices count from the corpus epoch (the earliest date), which
+``bin_daily`` finds itself; a day's entry for a word is the number of
+posts containing that word at least once, never the within-post
+multiplicity.
 """
 from __future__ import annotations
 
 import datetime as dt
 import html
 import json
-import os
 import re
-import stat
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -59,11 +58,6 @@ class ScanLog:
                 raise CorpusFormatError(f"scan log days must be contiguous from 0, got {d.day_index} at {i}")
             if d.new_post_count < 0:
                 raise CorpusFormatError(f"scan log day {i}: new_post_count must be >= 0, got {d.new_post_count}")
-
-    def check_horizon(self, horizon: int) -> None:
-        """Refuse a log that does not span the corpus's ``horizon`` days."""
-        if len(self.days) != horizon:
-            raise CorpusFormatError(f"scan log horizon {len(self.days)} != corpus horizon {horizon}")
 
     @classmethod
     def from_json(cls, text: str) -> "ScanLog":
@@ -109,11 +103,13 @@ def tokenize(text: str) -> list[str]:
     return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
-def bin_daily(posts: Iterable[tuple[int, str]], horizon: int) -> WordDayMatrix:
+def bin_daily(posts: Iterable[tuple[int, str]]) -> WordDayMatrix:
     """Count, per word and day, the number of ``(day, text)`` posts containing the word.
 
-    A word occurring several times inside one post counts once for that
-    post; two posts on the same day each containing it count twice.
+    Day 0 is the earliest post's day and the horizon ends at the latest;
+    the posts are read once, so they can be a generator.  A word occurring
+    several times inside one post counts once for that post; two posts on
+    the same day each containing it count twice.
     """
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__  # a new word gets the next id
@@ -121,18 +117,20 @@ def bin_daily(posts: Iterable[tuple[int, str]], horizon: int) -> WordDayMatrix:
     ends = array("q")  # where each post's words end in ids
     days = array("q")
     for day, text in posts:
-        if not 0 <= day < horizon:
-            raise ValueError(f"post day {day} outside horizon [0, {horizon})")
         ids.extend(map(vocab.__getitem__, set(tokenize(text))))
         ends.append(len(ids))
         days.append(day)
+    if not days:
+        raise EmptyCorpusError("no posts to bin")
+    epoch = min(days)
+    horizon = max(days) - epoch + 1
     words = sorted(vocab)
     row = np.empty(len(words), dtype=np.int64)
     row[np.fromiter(map(vocab.__getitem__, words), np.int64, len(words))] = np.arange(len(words))
     codes = row[np.frombuffer(ids, dtype=np.int64)]  # row * horizon + day, one per post-word
     del ids  # arrays of one entry per post-word set the peak memory: hold at most two
     codes *= horizon
-    codes += np.repeat(np.frombuffer(days, dtype=np.int64), np.diff(ends, prepend=0))
+    codes += np.repeat(np.frombuffer(days, dtype=np.int64) - epoch, np.diff(ends, prepend=0))
     codes.sort()
     first = np.ones(codes.size, dtype=bool)  # first code of each run of equal codes
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
@@ -150,7 +148,8 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     contiguously and word totals recomputed; words left with no days
     disappear.
     """
-    log.check_horizon(matrix.horizon)
+    if len(log.days) != matrix.horizon:
+        raise CorpusFormatError(f"scan log horizon {len(log.days)} != corpus horizon {matrix.horizon}")
     removed: dict[int, str] = {}
     in_gap = False
     for day in log.days:
@@ -172,45 +171,31 @@ def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMat
     return cleaned, report
 
 
-def read_flat_corpus(path) -> tuple[Iterator[tuple[int, str]], int]:
-    """Read a ``YYYY-MM-DD<TAB>feed_id<TAB>text`` file into ``(day, text)`` posts.
+def read_flat_corpus(path) -> Iterator[tuple[int, str]]:
+    """Read a ``YYYY-MM-DD<TAB>feed_id<TAB>text`` file as ``(date ordinal, text)`` posts.
 
-    The feed id must be present but is not kept.  The epoch is the
-    earliest date present; days are calendar-day offsets from it and the
-    horizon is the latest offset + 1.  The file must be a regular file,
-    read in two passes: this call checks every line, and the posts it
-    returns read the file again, one at a time, and can be iterated once.
+    The feed id must be present but is not kept.  The file is read once,
+    one line at a time, as the posts are iterated; each line is checked as
+    it is read.  Only LF ends a line: a CR inside a text is text, and the
+    CR of a CRLF line end is dropped.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be read a second time
-        raise CorpusFormatError(f"{path}: not a regular file")
-    dates, ordinals = {}, array("q")  # date string -> ordinal; each post's ordinal
-    with open(path, "r", encoding="utf-8") as fh:
+    dates = {}  # date string -> ordinal: each distinct date is parsed once
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line == "\n":
+            line = line.rstrip("\r\n")
+            if not line:
                 continue
-            parts = line.rstrip("\n").split("\t", 2)
+            parts = line.split("\t", 2)
             if len(parts) != 3:
                 raise CorpusFormatError(f"{path}:{lineno}: expected date<TAB>feed_id<TAB>text")
             date_s = parts[0]
-            if date_s not in dates:  # each distinct date is parsed once
+            if date_s not in dates:
                 try:
                     if not _DATE_RE.fullmatch(date_s):
                         raise ValueError(date_s)
                     dates[date_s] = dt.date.fromisoformat(date_s).toordinal()
                 except ValueError:
                     raise CorpusFormatError(f"{path}:{lineno}: bad date {date_s!r}") from None
-            ordinals.append(dates[date_s])
-    if not ordinals:
+            yield dates[date_s], parts[2]
+    if not dates:
         raise EmptyCorpusError(f"{path}: empty corpus")
-    epoch = min(ordinals)
-    return _reread(path, dates, ordinals, epoch), max(ordinals) - epoch + 1
-
-
-def _reread(path, dates: dict[str, int], ordinals: array, epoch: int) -> Iterator[tuple[int, str]]:
-    """The second pass of :func:`read_flat_corpus`: each checked post as ``(day, text)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (line.rstrip("\n").split("\t", 2) for line in fh if line != "\n")
-        for ordinal, parts in zip_longest(ordinals, lines, fillvalue=[""]):  # a post missing from either pass fails
-            if len(parts) != 3 or dates.get(parts[0]) != ordinal:
-                raise CorpusFormatError(f"{path}: the file changed after its lines were checked")
-            yield ordinal - epoch, parts[2]

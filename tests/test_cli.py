@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -238,8 +239,9 @@ class TestIngest:
         assert (out / "cleaning_report.json").read_bytes() == (
             b'{\n  "reasons": {},\n  "removed_days": [],\n  "retained_horizon": 3652059\n}\n')
 
-    @pytest.mark.parametrize("case", ["bad-line", "bad-date", "empty-corpus", "scan-log-one-day-short"])
-    def test_bad_corpus_is_refused_before_the_directory_is_touched(self, tmp_path, capsys, monkeypatch, case):
+    @pytest.mark.parametrize("case", ["bad-line", "bad-date", "empty-corpus", "scan-log-one-day-short",
+                                      "scan-log-removes-every-day"])
+    def test_bad_corpus_is_refused_before_the_directory_is_touched(self, tmp_path, capsys, case):
         good = self.corpus(tmp_path, ["2005-02-11\tf\tthe cat", "2005-02-13\tf\tthe hat"])
         log = tmp_path / "scans.json"
         log.write_text(json.dumps({"days": [{"day_index": d, "scan_performed": True} for d in range(3)]}),
@@ -250,53 +252,51 @@ class TestIngest:
         lines = {"bad-line": ["2005-02-11\tf\tok", "broken line"],
                  "bad-date": ["2005-02-11\tf\tok", "2005-02-30\tf\tx"],
                  "empty-corpus": [],
-                 "scan-log-one-day-short": ["2005-02-11\tf\tthe cat", "2005-02-14\tf\tthe hat"]}[case]
+                 "scan-log-one-day-short": ["2005-02-11\tf\tthe cat", "2005-02-14\tf\tthe hat"],
+                 "scan-log-removes-every-day": ["2005-02-11\tf\tthe cat", "2005-02-13\tf\tthe hat"]}[case]
         bad = self.corpus(tmp_path, lines, "bad.txt")
-        binned, real_bin_daily = [], cli.bin_daily
-        monkeypatch.setattr(cli, "bin_daily", lambda *args: binned.append(args) or real_bin_daily(*args))
+        if case == "scan-log-removes-every-day":
+            log.write_text(json.dumps({"days": [{"day_index": d, "scan_performed": False} for d in range(3)]}),
+                           encoding="utf-8")
         assert main(["ingest", "--input", str(bad), "--scan-log", str(log), "--output", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("wordburst: ") and err.count("\n") == 1
         if case == "scan-log-one-day-short":
             assert err == "wordburst: scan log horizon 3 != corpus horizon 4\n"
-        assert binned == []  # refused before a post was tokenized
         assert file_bytes(out) == before
 
-    @pytest.mark.parametrize("change", ["line-removed", "line-added", "date-moved", "line-broken"])
-    def test_corpus_changed_between_the_passes_is_one_line(self, tmp_path, capsys, monkeypatch, change):
-        lines = ["2005-02-11\tf\tthe cat", "2005-02-12\tf\tthe hat", "2005-02-13\tf\ta cat"]
-        corpus = self.corpus(tmp_path, lines)
-        changed = {"line-removed": lines[:2], "line-added": lines + lines[:1],
-                   "date-moved": [lines[0], lines[2], lines[1]], "line-broken": lines[:2] + ["a cat"]}[change]
-        read = cli.read_flat_corpus
-
-        def read_then_change(path):
-            result = read(path)
-            self.corpus(tmp_path, changed)
-            return result
-
-        monkeypatch.setattr(cli, "read_flat_corpus", read_then_change)
-        out = tmp_path / "out"
-        assert main(["ingest", "--input", str(corpus), "--output", str(out)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"wordburst: {corpus}: the file changed after its lines were checked\n"
-        assert not [p for p in out.rglob("*") if p.is_file()]
+    @pytest.mark.parametrize("text, end", [("the\rcat", "\n"), ("the cat", "\r\n")])
+    def test_only_lf_ends_a_line(self, tmp_path, text, end):
+        """A CR inside a post is text; a CRLF corpus, blank lines too, ingests like its LF copy."""
+        plain = self.corpus(tmp_path, ["2005-02-11\tf\tthe cat", "2005-02-12\tf\thello world"])
+        other = tmp_path / "other.txt"
+        other.write_bytes(f"2005-02-11\tf\t{text}{end}{end}2005-02-12\tf\thello world{end}".encode())
+        assert main(["ingest", "--input", str(plain), "--output", str(tmp_path / "plain")]) == EXIT_OK
+        assert main(["ingest", "--input", str(other), "--output", str(tmp_path / "other")]) == EXIT_OK
+        for name in ("matrix.tsv", "cleaning_report.json"):
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
-    def test_a_pipe_is_refused_unopened(self, tmp_path, capsys, monkeypatch):
+    def test_a_pipe_ingests_like_the_file(self, tmp_path):
+        corpus = self.corpus(tmp_path, ["2005-02-11\tf\tthe cat", "2005-02-13\tg\tthe hat"])
         fifo = tmp_path / "corpus.fifo"
         os.mkfifo(fifo)
-        real_open = builtins.open
 
-        def open_no_fifo(file, *args, **kwargs):
-            if isinstance(file, (str, Path)) and Path(file) == fifo:
-                raise AssertionError("opened the pipe, which blocks until a writer comes")
-            return real_open(file, *args, **kwargs)
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:  # the reader may have gone
+                fh.write(corpus.read_bytes())
 
-        monkeypatch.setattr(builtins, "open", open_no_fifo)
-        out = tmp_path / "out"
-        assert main(["ingest", "--input", str(fifo), "--output", str(out)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"wordburst: {fifo}: not a regular file\n"
-        assert not out.exists()
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert main(["ingest", "--input", str(fifo), "--output", str(tmp_path / "pipe")]) == EXIT_OK
+        finally:  # a writer still blocked in open() waits for a reader: give it one
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert main(["ingest", "--input", str(corpus), "--output", str(tmp_path / "file")]) == EXIT_OK
+        for name in ("matrix.tsv", "cleaning_report.json"):
+            assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 class TestAnalyzeRank:

@@ -1,4 +1,5 @@
 """Ingestion pipeline: tokenization, binning, cleaning, the flat corpus."""
+import datetime as dt
 import json
 import re
 import sys
@@ -62,25 +63,26 @@ class TestTokenize:
 class TestBinDaily:
     def test_multiplicity_within_post_counts_once(self):
         posts = [(0, "cat cat cat")]
-        m = bin_daily(posts, horizon=3)
+        m = bin_daily(posts)
         assert m.series("cat") == {0: 1}
 
     def test_two_posts_same_day_count_twice(self):
         posts = [(0, "cat here"), (0, "a cat there")]
-        m = bin_daily(posts, horizon=1)
+        m = bin_daily(posts)
         assert m.series("cat") == {0: 2}
 
     def test_empty_corpus(self):
-        m = bin_daily([], horizon=5)
-        assert m.vocabulary_size == 0
+        with pytest.raises(EmptyCorpusError):
+            bin_daily([])
 
-    def test_day_out_of_range(self):
-        with pytest.raises(ValueError):
-            bin_daily([(7, "x")], horizon=7)
+    def test_days_count_from_the_earliest_post(self):
+        m = bin_daily([(12, "cat"), (10, "cat hat")])
+        assert m.horizon == 3
+        assert (m.series("cat"), m.series("hat")) == ({0: 1, 2: 1}, {0: 1})
 
     def test_binning_conserves_distinct_word_mass(self):
         posts = [(0, "a b a"), (1, "b c"), (1, "c c d")]
-        m = bin_daily(posts, horizon=2)
+        m = bin_daily(posts)
         total = sum(m.total(w) for w in m.words)
         assert total == sum(len(set(tokenize(text))) for _, text in posts)
 
@@ -161,29 +163,29 @@ class TestFlatCorpus:
 
     def test_day_indices_from_epoch(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tfeedA\thello world\n2005-02-13\tfeedB\tmore text\n")
-        posts, horizon = read_flat_corpus(path)
-        assert list(posts) == [(0, "hello world"), (2, "more text")]
-        assert horizon == 3
+        assert list(read_flat_corpus(path)) == [(dt.date(2005, 2, 11).toordinal(), "hello world"),
+                                                (dt.date(2005, 2, 13).toordinal(), "more text")]
+        m = bin_daily(read_flat_corpus(path))
+        assert (m.horizon, m.series("hello"), m.series("more")) == (3, {0: 1}, {2: 1})
 
     def test_tabs_inside_text_are_kept(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tf\ttext\twith\ttabs\n")
-        posts, horizon = read_flat_corpus(path)
-        assert (list(posts), horizon) == ([(0, "text\twith\ttabs")], 1)
+        assert list(read_flat_corpus(path)) == [(dt.date(2005, 2, 11).toordinal(), "text\twith\ttabs")]
 
     def test_empty_file_raises(self, tmp_path):
         with pytest.raises(EmptyCorpusError):
-            read_flat_corpus(self.write(tmp_path, ""))
+            list(read_flat_corpus(self.write(tmp_path, "")))
 
     def test_bad_line_reports_position(self, tmp_path):
         path = self.write(tmp_path, "2005-02-11\tf\tok\nnot a line\n")
         with pytest.raises(CorpusFormatError) as err:
-            read_flat_corpus(path)
+            list(read_flat_corpus(path))
         assert ":2:" in str(err.value)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         lines = ["2005-02-11\tf\tthe cat", "2005-02-13\tg\tthe hat"]
-        plain = bin_daily(*read_flat_corpus(self.write(tmp_path, "\n".join(lines) + "\n")))
-        spaced = bin_daily(*read_flat_corpus(self.write(tmp_path, "\n" + "\n\n".join(lines) + "\n\n")))
+        plain = bin_daily(read_flat_corpus(self.write(tmp_path, "\n".join(lines) + "\n")))
+        spaced = bin_daily(read_flat_corpus(self.write(tmp_path, "\n" + "\n\n".join(lines) + "\n\n")))
         assert spaced == plain
 
     def test_bad_date_reports_position(self, tmp_path):
@@ -191,7 +193,7 @@ class TestFlatCorpus:
         for date in ["02/11/2005", "20050211", "2005-W06-5", "2005W065"]:
             path = self.write(tmp_path, f"2005-02-11\tf\ttext\n{date}\tf\ttext\n")
             with pytest.raises(CorpusFormatError) as err:
-                read_flat_corpus(path)
+                list(read_flat_corpus(path))
             assert str(err.value) == f"{path}:2: bad date {date!r}"
 
 
@@ -377,10 +379,10 @@ class TestReaderMemory:
                                 for i, text in enumerate(texts)), encoding="utf-8")
         text_bytes = sum(map(sys.getsizeof, texts))
         del texts
-        bin_daily(*read_flat_corpus(path))  # lazy imports happen outside the traced run
+        bin_daily(read_flat_corpus(path))  # lazy imports happen outside the traced run
         tracemalloc.start()
         try:
-            bin_daily(*read_flat_corpus(path))
+            bin_daily(read_flat_corpus(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

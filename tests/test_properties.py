@@ -64,9 +64,9 @@ def test_tokens_are_lowercase_alnum(s):
         assert all(ch.isalnum() or unicodedata.category(ch).startswith("M") for ch in tok)
 
 
-@given(st.lists(st.tuples(st.integers(0, 9), texts), max_size=12))
+@given(st.lists(st.tuples(st.integers(0, 9), texts), min_size=1, max_size=12))
 def test_binning_conserves_distinct_word_mass(raw):
-    m = bin_daily(raw, horizon=10)
+    m = bin_daily(raw)
     lhs = sum(m.total(w) for w in m.words)
     rhs = sum(len(set(tokenize(text))) for _, text in raw)
     assert lhs == rhs
@@ -95,19 +95,20 @@ def _reference_tokens(text):
     return [t.lower() for t in re.findall(r"[^\W_]+", text)]
 
 
-def _reference_bin_daily(posts, horizon):
-    """Per-word, per-day post counts through a dict of dicts."""
+def _reference_bin_daily(posts):
+    """Per-word, per-day post counts through a dict of dicts, day 0 on the earliest post."""
+    epoch = min(day for day, _ in posts)
     counts = {}
     for day, text in posts:
         for word in set(_reference_tokens(text)):
             days = counts.setdefault(word, {})
-            days[day] = days.get(day, 0) + 1
-    return WordDayMatrix.from_mapping(horizon, counts)
+            days[day - epoch] = days.get(day - epoch, 0) + 1
+    return WordDayMatrix.from_mapping(max(day for day, _ in posts) - epoch + 1, counts)
 
 
 def _binning_cases(texts):
-    return st.integers(1, 12).flatmap(lambda horizon: st.tuples(
-        st.just(horizon), st.lists(st.tuples(st.integers(0, horizon - 1), texts), max_size=15)))
+    return st.integers(1, 12).flatmap(
+        lambda span: st.lists(st.tuples(st.integers(0, span - 1), texts), min_size=1, max_size=15))
 
 
 @given(post_texts)
@@ -121,15 +122,13 @@ def test_ascii_tokenize_is_findall_over_strip_markup(text):
 
 
 @given(_binning_cases(post_texts))
-def test_bin_daily_matches_dict_reference(case):
-    horizon, posts = case
-    assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)
+def test_bin_daily_matches_dict_reference(posts):
+    assert bin_daily(posts) == _reference_bin_daily(posts)
 
 
 @given(_binning_cases(ascii_post_texts))
-def test_ascii_bin_daily_matches_dict_reference(case):
-    horizon, posts = case
-    assert bin_daily(posts, horizon) == _reference_bin_daily(posts, horizon)
+def test_ascii_bin_daily_matches_dict_reference(posts):
+    assert bin_daily(posts) == _reference_bin_daily(posts)
 
 
 @given(matrices(min_words=1))

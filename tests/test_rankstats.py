@@ -56,7 +56,7 @@ class TestRankCurve:
             "the quick brown fox jumps over the lazy dog",
         ]
         posts = [(i % 3, t) for i, t in enumerate(texts)]
-        curve = rank_curve(bin_daily(posts, horizon=3))
+        curve = rank_curve(bin_daily(posts))
         assert curve.words[0] == "the"
 
     def test_empty_matrix_rejected(self):
