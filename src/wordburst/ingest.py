@@ -32,6 +32,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # from 3.11, fromisoformat alone also takes 20050211
 # ASCII letters and digits lowered, other bytes spaces: on ASCII text its split gives _TOKEN_RE's tokens
 _TOKEN_TABLE = bytes(ord(chr(c).lower()) if chr(c).isascii() and chr(c).isalnum() else 32 for c in range(256))
+_BLOCK_POSTS = 2048  # posts whose day offsets bin_daily adds at once: no post-word-sized temporary
 
 
 @dataclass(frozen=True)
@@ -114,30 +115,37 @@ def bin_daily(posts: Iterable[tuple[int, str]]) -> WordDayMatrix:
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__  # a new word gets the next id
     ids = array("q")  # the distinct words of each post, post after post
-    ends = array("q")  # where each post's words end in ids
-    days = array("q")
+    bounds = array("q", [0])  # post i's words are ids[bounds[i]:bounds[i + 1]]
+    post_days = array("q")
     for day, text in posts:
         ids.extend(map(vocab.__getitem__, set(tokenize(text))))
-        ends.append(len(ids))
-        days.append(day)
-    if not days:
+        bounds.append(len(ids))
+        post_days.append(day)
+    if not post_days:
         raise EmptyCorpusError("no posts to bin")
-    epoch = min(days)
-    horizon = max(days) - epoch + 1
+    epoch = min(post_days)
+    horizon = max(post_days) - epoch + 1
     words = sorted(vocab)
     row = np.empty(len(words), dtype=np.int64)
     row[np.fromiter(map(vocab.__getitem__, words), np.int64, len(words))] = np.arange(len(words))
-    codes = row[np.frombuffer(ids, dtype=np.int64)]  # row * horizon + day, one per post-word
-    del ids  # arrays of one entry per post-word set the peak memory: hold at most two
+    # row * horizon + day, one per post-word, coded in ids' own buffer (mode="raise" would copy out)
+    codes = np.frombuffer(ids, dtype=np.int64)
+    np.take(row, codes, out=codes, mode="clip")
     codes *= horizon
-    codes += np.repeat(np.frombuffer(days, dtype=np.int64) - epoch, np.diff(ends, prepend=0))
+    offsets = np.frombuffer(post_days, dtype=np.int64) - epoch
+    for b in range(0, offsets.size, _BLOCK_POSTS):
+        block = bounds[b:b + _BLOCK_POSTS + 1]
+        codes[block[0]:block[-1]] += np.repeat(offsets[b:b + _BLOCK_POSTS], np.diff(block))
     codes.sort()
     first = np.ones(codes.size, dtype=bool)  # first code of each run of equal codes
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    cells, counts = codes[starts], np.diff(starts, append=codes.size)
-    del codes
-    return WordDayMatrix.from_sorted_cells(horizon, words, cells // horizon, cells % horizon, counts)
+    cells = codes[first]
+    del codes, ids  # the post-words' one buffer
+    counts = np.flatnonzero(first)  # the run starts, turned into run lengths in place
+    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+    counts[-1:] = first.size - counts[-1:]
+    rows, days = np.divmod(cells, horizon, out=(None, cells))  # the days overwrite the cells
+    return WordDayMatrix.from_sorted_cells(horizon, words, rows, days, counts)
 
 
 def clean_missing_scans(matrix: WordDayMatrix, log: ScanLog) -> tuple[WordDayMatrix, CleaningReport]:

@@ -137,17 +137,19 @@ class WordDayMatrix:
         return block
 
     def keep_days(self, kept: Sequence[int]) -> "WordDayMatrix":
-        """Only the cells on the ascending ``kept`` days, renumbered
-        0..len(kept)-1; words left without cells disappear."""
+        """Only the cells on the ascending ``kept`` days, renumbered 0..len(kept)-1;
+        words left without cells disappear.  Beside both matrices it holds one
+        renumbered day and one flag per cell, never a row per cell."""
         new_day = np.full(self.horizon, -1, dtype=np.int64)
         new_day[np.asarray(kept, dtype=np.intp)] = np.arange(len(kept))
         days = new_day[self.days]
         keep = days >= 0
-        row_of_cell = np.repeat(np.arange(self.vocabulary_size), np.diff(self.indptr))
-        lengths = np.bincount(row_of_cell[keep], minlength=self.vocabulary_size)
+        lengths = np.add.reduceat(keep, self.indptr[:-1], dtype=np.int64)  # kept cells per row
+        days = days[keep]  # every cell's renumbered day is freed before the counts are copied
+        counts = self.counts[keep]
         alive = lengths > 0
         return WordDayMatrix(len(kept), tuple(w for w, a in zip(self.words, alive) if a),
-                             _indptr(lengths[alive]), days[keep], self.counts[keep])
+                             _indptr(lengths[alive]), days, counts)
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""

@@ -80,6 +80,14 @@ class TestBinDaily:
         assert m.horizon == 3
         assert (m.series("cat"), m.series("hat")) == ({0: 1, 2: 1}, {0: 1})
 
+    def test_tokenless_corpus_bins_and_cleans_to_no_words(self):
+        m = bin_daily([(0, "!!!"), (3, "")])
+        assert (m.horizon, m.words) == (4, ())
+        cleaned, report = clean_missing_scans(m, ScanLog([ScanDay(d, d != 1) for d in range(4)]))
+        assert report.removed_days == [1, 2]
+        assert (cleaned.horizon, cleaned.words, cleaned.days.size, cleaned.counts.size) == (2, (), 0, 0)
+        cleaned.validate()
+
     def test_binning_conserves_distinct_word_mass(self):
         posts = [(0, "a b a"), (1, "b c"), (1, "c c d")]
         m = bin_daily(posts)
@@ -387,6 +395,45 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         assert peak < text_bytes / 4
+
+    def test_bin_daily_holds_each_post_word_once(self):
+        """Binning many post-words into few cells peaks near the post-words'
+        own 8 bytes each: the cells are coded in the word ids' buffer and the
+        days are added a block of posts at a time, with no post-word-sized copy."""
+        rng = np.random.default_rng(6)
+        vocabulary = np.array([f"w{i:03d}" for i in range(200)])
+        posts = [(i % 10, " ".join(rng.choice(vocabulary, 50, replace=False))) for i in range(20_000)]
+        bin_daily(posts[:10])  # lazy imports happen outside the traced run
+        tracemalloc.start()
+        try:
+            m = bin_daily(posts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.horizon, m.vocabulary_size, int(m.counts.sum())) == (10, 200, 50 * len(posts))
+        assert peak < 1.25 * 8 * 50 * len(posts)
+
+    def test_cleaning_holds_no_row_per_cell(self):
+        """Besides the two matrices, cleaning holds one renumbered day and one
+        flag per cell, not a row index per cell.  A word whose only day is
+        removed vanishes, and the cleaned matrix keeps every invariant."""
+        horizon = 2_000
+        lonely = np.zeros(horizon, np.int64)
+        lonely[7] = 1
+        m = WordDayMatrix.from_day_vectors(
+            horizon, [("lonely", lonely)] + [(f"w{i:03d}", (np.arange(horizon) + i) % 3) for i in range(100)])
+        log = ScanLog([ScanDay(d, d not in (7, 500)) for d in range(horizon)])
+        clean_missing_scans(m, log)  # lazy imports happen outside the traced run
+        tracemalloc.start()
+        try:
+            cleaned, report = clean_missing_scans(m, log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * m.days.size
+        assert report.removed_days == [7, 8, 500, 501]
+        assert cleaned.words == m.words[1:] and cleaned.horizon == horizon - 4
+        cleaned.validate()
 
 
 def _reference_tsv(m: WordDayMatrix) -> str:
