@@ -224,9 +224,9 @@ def _fit_record(risk) -> dict:
 
 @contextlib.contextmanager
 def _fit_pool():
-    """Dilute mode's fit workers, forked before the matrix load: they import scipy while the parent
-    parses and hold none of the matrix.  Only the parent takes a Ctrl-C; a dead worker is a numeric
-    failure; leaving cancels the queued fits and joins every worker, terminated first on an error."""
+    """Dilute mode's fit workers, forked before the matrix load: they import scipy.special and scipy.linalg
+    while the parent parses and hold none of the matrix.  Only the parent takes a Ctrl-C; a dead worker is a
+    numeric failure; leaving cancels the queued fits and joins every worker, terminated first on an error."""
     # one per CPU besides the parent's; the cap bounds memory, as 200 fits of 20 ms gain little past four processes
     workers = min(len(os.sched_getaffinity(0)), 4) - 1 if hasattr(os, "sched_getaffinity") else 0
     if workers < 1:
@@ -235,7 +235,8 @@ def _fit_pool():
     import multiprocessing
     import signal
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), __import__, ("scipy.optimize",))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), __import__,
+                               ("scipy", None, None, ("special", "linalg")))
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
     try:
         pool.submit(int)  # forks every worker now; each keeps SIGINT blocked

@@ -15,7 +15,9 @@ R(t) = P(tau >= t).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -198,7 +200,6 @@ def fit_stretched_exponential(risk: RiskFunction) -> StretchedExpFit:
     from (a, nu).  Raises :class:`FitDidNotConverge` (carrying the best
     iterate) if no start converges.
     """
-    from scipy import optimize
     n = risk.sample_count
     R = risk.values
     ts = risk.support.astype(float)
@@ -219,10 +220,7 @@ def fit_stretched_exponential(risk: RiskFunction) -> StretchedExpFit:
     best = None
     converged = False
     for nu0 in (0.3, 0.5, 0.7, 1.0, 1.5):
-        sol = optimize.least_squares(
-            residuals, x0=[np.log(a0), nu0],
-            bounds=([-30.0, 0.02], [5.0, 2.0]), max_nfev=200,
-        )
+        sol = _least_squares(residuals, np.array([np.log(a0), nu0]), max_nfev=200)
         if best is None or sol.cost < best.cost:
             best = sol
         converged = converged or sol.status > 0
@@ -235,6 +233,207 @@ def fit_stretched_exponential(risk: RiskFunction) -> StretchedExpFit:
     if not converged:
         raise FitDidNotConverge("no optimizer start converged within its budget", best=fit)
     return fit
+
+
+# The stretched fit's solver: scipy's least_squares(fun, x0, bounds=(_LB, _UB), max_nfev=...), method "trf"
+# with a 2-point Jacobian and the exact trust-region solver, ported step for step.  Helpers are named after
+# the scipy functions they port and keep scipy's reductions and SVD routine: another form can move a bit.
+_LB, _UB = np.array([-30.0, 0.02]), np.array([5.0, 2.0])  # bounds on (log a, nu)
+_STRICT = np.nextafter(_LB, _UB), np.nextafter(_UB, _LB)  # make_strictly_feasible(rstep=0) as a clip
+_TOL, _EPS = 1e-8, np.finfo(float).eps  # scipy's ftol = xtol = gtol, and the machine epsilon
+
+
+def _least_squares(fun, x0: np.ndarray, max_nfev: int) -> SimpleNamespace:
+    """scipy's ``trf_bounds`` with linear loss and x_scale 1, update_tr_radius and check_termination inlined:
+    the same x bits, cost and ``status`` (0 when ``max_nfev`` residual calls ran out, the Jacobian's not counted;
+    1 gtol, 2 ftol, 3 xtol, 4 both).  Every start lies farther inside the bounds than scipy's 1e-10 margin, and
+    the residuals are finite wherever x is (the fit floors the survival), so scipy's handling of others is left out."""
+    from scipy.linalg.lapack import dgesdd, dgesdd_lwork  # scipy.linalg.svd's LAPACK routine, called directly
+    x, f = x0, fun(x0)
+    nfev, m = 1, f.size
+    lwork = int(dgesdd_lwork(m + 2, 2, compute_uv=1, full_matrices=0)[0])
+    cost = 0.5 * np.dot(f, f)
+    jt, g, v, diag_h = _linearize(fun, x, f)
+    delta = _norm(x / v**0.5) or 1.0
+    alpha, status = 0.0, None
+    while True:
+        g_norm = np.abs(g * v).max()
+        status = 1 if g_norm < _TOL else status
+        if status is not None or nfev == max_nfev:
+            break
+        d = v**0.5  # the step is solved in Coleman-Li's "hat" space, x = d * x_h
+        g_h = d * g
+        j_augmented = np.vstack([jt.T * d, np.diag(diag_h**0.5)])
+        j_h = j_augmented[:m]
+        u, s, vt, info = dgesdd(j_augmented, full_matrices=0, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        uf = u.T.dot(np.concatenate([f, np.zeros(2)]))
+        theta = max(0.995, 1 - g_norm)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            p_h, alpha = _solve_lsq_trust_region(m, uf, s, vt.T, delta, alpha)
+            step, step_h, predicted_reduction = _select_step(x, j_h, diag_h, g_h, d * p_h, p_h, d, delta, theta)
+            x_new = np.clip(x + step, *_STRICT)
+            f_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            step_h_norm = _norm(step_h)
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            else:
+                ratio = 1 if predicted_reduction == actual_reduction == 0 else 0
+            delta_new = 0.25 * step_h_norm if ratio < 0.25 else delta
+            if ratio > 0.75 and step_h_norm > 0.95 * delta:
+                delta_new = delta * 2.0
+            ftol_met = actual_reduction < _TOL * cost and ratio > 0.25
+            xtol_met = _norm(step) < _TOL * (_TOL + _norm(x))
+            status = [None, 3, 2, 4][2 * ftol_met + xtol_met]
+            if status is not None:
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            jt, g, v, diag_h = _linearize(fun, x, f)
+    return SimpleNamespace(x=x, cost=cost, status=0 if status is None else status)
+
+
+def _norm(v: np.ndarray):
+    return np.sqrt(v.dot(v))  # numpy.linalg.norm of a 1-D array, in numpy's own form
+
+
+def _linearize(fun, x, f):
+    """approx_derivative's 2-point Jacobian (transposed), one point per residual call, the gradient, and
+    CL_scaling_vector's v (the distance to the bound that -g points at) and diagonal g * dv.  A step is
+    sqrt(eps) * max(1, |x_i|) with x_i's sign, reversed if it leaves the bounds, which are far wider."""
+    jt = np.empty((2, f.size))
+    for i, xi in enumerate(x.tolist()):
+        h = _EPS**0.5 * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
+        if xi + h < _LB[i] or xi + h > _UB[i]:
+            h = -h
+        x1 = x.copy()
+        x1[i] = xi + h
+        jt[i] = (fun(x1) - f) / ((xi + h) - xi)
+    g = jt.dot(f)
+    v = np.where(g < 0, _UB - x, np.where(g > 0, x - _LB, 1.0))
+    return jt, g, v, g * ((g > 0) * 1.0 - (g < 0))
+
+
+def _solve_lsq_trust_region(m, uf, s, V, delta, alpha):
+    """More's trust-region solution from one SVD, J = U diag(s) V^T; returns (p, alpha)."""
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = s[-1] > _EPS * m * s[0]
+    alpha_lower = 0.0
+    if full_rank:
+        p = -V.dot(uf / s)
+        if _norm(p) <= delta:
+            return p, 0.0
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    alpha_upper = _norm(suf) / delta
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= delta / _norm(p)
+    return p, alpha
+
+
+def _select_step(x, j_h, diag_h, g_h, p, p_h, d, delta, theta):
+    """The best of the trust-region step (pulled back inside the bounds), its reflection off the
+    first bound it hits, and the gradient step: ``(step, step_h, predicted reduction)``."""
+    if np.all((x + p >= _LB) & (x + p <= _UB)):
+        return p, p_h, -_evaluate_quadratic(j_h, g_h, p_h, diag_h)
+    p_stride, hits = _step_size_to_bound(x, p)
+    r_h = np.where(hits, -p_h, p_h)
+    p, p_h = p * p_stride, p_h * p_stride
+    # intersect_trust_region: how far the reflected step may go inside the trust region
+    a, b, c = np.dot(r_h, r_h), np.dot(p_h, r_h), np.dot(p_h, p_h) - delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    q = -(b + math.copysign(np.sqrt(b * b - a * c), b))
+    to_tr = max(q / a, c / q)
+    to_bound, _ = _step_size_to_bound(x + p, d * r_h)
+    r_stride = min(to_bound, to_tr)
+    r_stride_l, r_stride_u = 0, -1
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    r_value = np.inf
+    if r_stride_l <= r_stride_u:
+        r_stride, r_value = _minimize_quadratic_1d(j_h, g_h, diag_h, r_h, r_stride_l, r_stride_u, s0=p_h)
+        r_h = r_h * r_stride + p_h
+    p, p_h = p * theta, p_h * theta
+    p_value = _evaluate_quadratic(j_h, g_h, p_h, diag_h)
+    ag_h = -g_h
+    to_tr = delta / _norm(ag_h)
+    to_bound, _ = _step_size_to_bound(x, d * ag_h)
+    ag_stride, ag_value = _minimize_quadratic_1d(j_h, g_h, diag_h, ag_h, 0,
+                                                 theta * to_bound if to_bound < to_tr else to_tr)
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r_h * d, r_h, -r_value
+    return d * ag_h * ag_stride, ag_h * ag_stride, -ag_value
+
+
+def _step_size_to_bound(x, s):
+    """The least t >= 0 putting x + t*s on a bound, and where each component hits it at t."""
+    steps = np.full(2, np.inf)
+    moving = s != 0
+    with np.errstate(over="ignore"):  # a tiny component of s reaches no bound
+        steps[moving] = np.maximum((_LB - x)[moving] / s[moving], (_UB - x)[moving] / s[moving])
+    t = np.min(steps)
+    return t, (steps == t) & moving
+
+
+def _minimize_quadratic_1d(j, g, diag, s, lb, ub, s0=None):
+    """build_quadratic_1d and minimize_quadratic_1d: the t in [lb, ub] that minimizes the model
+    0.5 (s0 + t s)^T (J^T J + diag) (s0 + t s) + g^T (s0 + t s), and the model there."""
+    v = j.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    c = 0
+    if s0 is not None:
+        u = j.dot(s0)
+        b += np.dot(u, v)
+        c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+        b += np.dot(s0 * diag, s)
+        c += 0.5 * np.dot(s0 * diag, s0)
+    t = [lb, ub]
+    if a != 0 and lb < -0.5 * b / a < ub:
+        t.append(-0.5 * b / a)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _evaluate_quadratic(j, g, s, diag):
+    """The model 0.5 s^T (J^T J + diag) s + g^T s."""
+    js = j.dot(s)
+    q = np.dot(js, js)
+    q += np.dot(s * diag, s)
+    return 0.5 * q + np.dot(s, g)
 
 
 @dataclass

@@ -30,17 +30,17 @@ def union(parts) -> WordDayMatrix:
 
 
 def exhaust_least_squares(monkeypatch) -> None:
-    """Make every ``scipy.optimize.least_squares`` run report an exhausted
-    budget (status 0) while returning the real solver's result."""
-    from scipy import optimize
-    real = optimize.least_squares
+    """Make every run of the stretched fit's solver, ``waiting._least_squares``,
+    report an exhausted budget (status 0) while returning the real solver's result."""
+    from wordburst import waiting
+    real = waiting._least_squares
 
     def exhausted(*args, **kwargs):
         sol = real(*args, **kwargs)
         sol.status = 0
         return sol
 
-    monkeypatch.setattr(optimize, "least_squares", exhausted)
+    monkeypatch.setattr(waiting, "_least_squares", exhausted)
 
 
 @pytest.fixture

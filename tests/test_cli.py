@@ -1003,3 +1003,41 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
     # the simulated curve is fitted by the simplex; the three-word corpus is degenerate
     assert not json.loads((tmp_path / "rank-sim" / "fit.json").read_text(encoding="utf-8"))["degenerate"]
     assert (tmp_path / "rank-ing" / "rank.csv").is_file()
+
+
+def test_dilute_run_does_not_import_scipy_optimize(tmp_path, command_argv):
+    """The stretched fit is a port of scipy's least_squares: a dilute run, its fits all in the
+    parent, loads scipy.special and scipy.linalg and no scipy.optimize."""
+    import wordburst
+
+    code = ("import json, os, sys\nfrom wordburst.cli import main\nos.sched_getaffinity = lambda pid: {0}\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    out = tmp_path / "out"
+    src = str(Path(wordburst.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(command_argv[1]["dilute"] + ["--output", str(out)])],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK, proc.stderr
+    fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+    assert any("skipped" not in record for record in fits.values())
+    assert {"scipy.linalg", "scipy.special"} <= set(scipy_modules)
+    assert [m for m in scipy_modules if m.startswith("scipy.optimize")] == []
+
+
+def test_fit_workers_preload_only_what_the_fits_import(tmp_path, monkeypatch, command_argv):
+    from concurrent.futures import process
+
+    initializers = []
+
+    class Recorded(process.ProcessPoolExecutor):
+        def __init__(self, workers, context, initializer, initargs):
+            initializers.append((initializer, initargs))
+            super().__init__(workers, context, initializer, initargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(command_argv[1]["dilute"] + ["--output", str(tmp_path / "out")]) == EXIT_OK
+    [(initializer, (package, _, _, names))] = initializers
+    assert initializer is builtins.__import__
+    assert sorted(f"{package}.{name}" for name in names) == ["scipy.linalg", "scipy.special"]

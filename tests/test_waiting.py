@@ -1,6 +1,10 @@
 """Gap statistics: distributions, risk functions, rescaling, fits, dispersion."""
+import contextlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from wordburst import stretched, waiting
 from wordburst.ensembles import build_ensembles, select_dilute
@@ -268,6 +272,90 @@ class TestStretchedFit:
         dist = distribution_from_sample(np.array([3, 3, 3, 4]), horizon=10)
         with pytest.raises(EmptySampleError):
             fit_stretched_exponential(risk_function(dist))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLeastSquaresPort:
+    """``_least_squares`` is scipy's bounded TRF ``least_squares`` step for step: the same ``x``
+    bytes, ``cost`` and ``status``.  scipy is the reference here only; the fits never import it."""
+
+    @staticmethod
+    def day_binned(a, nu, size, offset, seed):
+        """Day gaps of ``size`` stretched draws, each lengthened by ``offset`` mean gaps of the law:
+        0 gives the plain law, and a larger offset more regular gaps, which press nu against 2."""
+        gaps = stretched.sample(np.random.default_rng(seed), size, a, nu) + offset * stretched.moment(1, a, nu)
+        return np.diff(np.unique(np.floor(np.cumsum(gaps)).astype(np.int64)))
+
+    @staticmethod
+    def fit_starts(taus):
+        """``(residuals, x0, kinds)`` of each start of the fit of ``taus``, where ``kinds`` are the
+        steps that start took: "inside" the bounds, "constrained", "reflected" or "gradient"."""
+        def parallel(u, w):
+            return abs(u[0] * w[1] - u[1] * w[0]) <= 1e-9 * np.hypot(*u) * np.hypot(*w)
+
+        def select_step(x, j_h, diag_h, g_h, p, p_h, *rest):
+            inside, direction = np.all((x + p >= waiting._LB) & (x + p <= waiting._UB)), p_h.copy()
+            step, step_h, reduction = real_select(x, j_h, diag_h, g_h, p, p_h, *rest)
+            starts[-1][2].append("inside" if inside else "gradient" if parallel(step_h, g_h)
+                                 else "constrained" if parallel(step_h, direction) else "reflected")
+            return step, step_h, reduction
+
+        def least_squares(fun, x0, max_nfev):
+            starts.append((fun, x0.copy(), []))
+            return real_least_squares(fun, x0, max_nfev)
+
+        starts, real_select, real_least_squares = [], waiting._select_step, waiting._least_squares
+        with pytest.MonkeyPatch.context() as patch, contextlib.suppress(EmptySampleError, FitDidNotConverge):
+            patch.setattr(waiting, "_select_step", select_step)
+            patch.setattr(waiting, "_least_squares", least_squares)
+            fit_stretched_exponential(risk_function(distribution_from_sample(taus, horizon=int(taus.max()) + 2)))
+        return starts
+
+    @staticmethod
+    def assert_matches_scipy(fun, x0, max_nfev=200):
+        from scipy import optimize
+
+        want = optimize.least_squares(fun, x0, bounds=([-30.0, 0.02], [5.0, 2.0]), max_nfev=max_nfev)
+        got = waiting._least_squares(fun, x0, max_nfev)
+        assert (got.x.tobytes(), got.cost, got.status) == (want.x.tobytes(), want.cost, want.status)
+        return want
+
+    def test_matches_scipy(self):
+        """The drawn start, and every start that reflects or takes the gradient step.  With a in
+        [0.02, 0.2], nu in [1, 2] and the gaps offset by one to four mean gaps, a class is regular
+        enough for its nu0 = 1.5 start to take a gradient step about one time in ten.  The draws
+        are derandomized, so that the count of those steps is the same in every run."""
+        taken = Counter()
+
+        @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+        @given(st.floats(0.02, 0.2), st.floats(1, 2), st.integers(20, 300), st.one_of(st.just(0.0), st.floats(1, 4)),
+               st.integers(0, 2**32 - 1), st.integers(0, 4))
+        def check(a, nu, size, offset, seed, start):
+            taus = self.day_binned(a, nu, size, offset, seed)
+            assume(taus.size > 0)
+            starts = self.fit_starts(taus)
+            assume(starts)
+            for i, (fun, x0, kinds) in enumerate(starts):
+                if i == start or {"reflected", "gradient"} & set(kinds):
+                    self.assert_matches_scipy(fun, x0)
+                    taken.update(kinds)
+
+        check()
+        assert taken["reflected"] >= 10 and taken["gradient"] >= 10, taken
+
+    @pytest.mark.parametrize("a, nu, size, offset, seed, start", [
+        (0.1, 0.5, 2000, 0.0, 25, 1),  # the paper's law from the nu0 = 0.5 start
+        (0.1, 2.0, 150, 2.0, 36, 4),  # regular gaps: nu0 = 1.5 reflects, takes a gradient step, ends on nu = 2
+    ])
+    def test_every_budget(self, a, nu, size, offset, seed, start):
+        """Every max_nfev from 1 to one past convergence, so that runs stop at each evaluation."""
+        fun, x0, kinds = self.fit_starts(self.day_binned(a, nu, size, offset, seed))[start]
+        want = self.assert_matches_scipy(fun, x0)
+        assert want.status > 0
+        if offset:
+            assert want.x[1] == np.nextafter(2.0, 0.0) and {"reflected", "gradient"} <= set(kinds)
+        for max_nfev in range(1, want.nfev + 2):
+            self.assert_matches_scipy(fun, x0, max_nfev)
 
 
 class TestZeta:
