@@ -3,9 +3,10 @@
 Columnar layout, one row per word (compressed sparse rows):
 
 * ``words``: the vocabulary, sorted; ``words[r]`` owns row ``r``;
-* ``indptr``: row ``r`` owns cells ``indptr[r]:indptr[r+1]``;
-* ``days``: the day index of each cell, ascending within a row;
-* ``counts``: the number of posts containing the word that day, >= 1.
+* ``indptr``: row ``r`` owns cells ``indptr[r]:indptr[r+1]`` (int64);
+* ``days``: the day index of each cell, ascending within a row (int32, as
+  a day is below ``MAX_HORIZON`` < 2^31);
+* ``counts``: the number of posts containing the word that day, >= 1 (int64).
 
 A word absent on a day has no cell, and every word has at least one.
 The matrix is frozen, arrays included.  This module is the only one that
@@ -73,21 +74,21 @@ class WordDayMatrix:
         for word ``words[rows[i]]`` on ``days[i]``.  Raises ValueError on a
         broken invariant."""
         matrix = cls(horizon, tuple(words), np.searchsorted(rows, np.arange(len(words) + 1)), days, counts)
-        matrix.validate()
-        return matrix
+        matrix.validate()  # on the given days: narrowed first, a day past 2^31 would wrap
+        return cls(horizon, matrix.words, matrix.indptr, days.astype(np.int32), counts)
 
     @classmethod
     def from_day_vectors(cls, horizon: int, rows: Iterable[tuple[str, np.ndarray]]) -> "WordDayMatrix":
         """Build from ``(word, length-horizon count vector)`` pairs in word
         order; all-zero words vanish."""
-        words, lengths, buffers = [], array("q"), (array("q"), array("q"))
+        words, lengths, buffers = [], array("q"), [array("i"), array("q")]
         for word, x in rows:
             nz = x.nonzero()[0]
             if nz.size:
                 words.append(word)
                 lengths.append(nz.size)
                 _append_cells(buffers, nz, x[nz])
-        matrix = cls(horizon, tuple(words), _indptr(lengths), *(np.frombuffer(b, np.int64) for b in buffers))
+        matrix = cls(horizon, tuple(words), _indptr(lengths), *(np.frombuffer(b, b.typecode) for b in buffers))
         matrix.validate()
         return matrix
 
@@ -127,7 +128,7 @@ class WordDayMatrix:
         gaps row after row).  A gap is the day difference between consecutive
         cells of one row; multiplicity within a day plays no part."""
         cells, lengths = self._cells(rows)
-        return lengths - 1, np.delete(np.diff(self.days[cells]), np.cumsum(lengths)[:-1] - 1)
+        return lengths - 1, np.delete(np.diff(self.days[cells].astype(np.int64)), np.cumsum(lengths)[:-1] - 1)
 
     def dense_block(self, rows: Sequence[int]) -> np.ndarray:
         """(len(rows) x horizon) day counts of the words in ``rows``, zero days included."""
@@ -140,7 +141,7 @@ class WordDayMatrix:
         """Only the cells on the ascending ``kept`` days, renumbered 0..len(kept)-1;
         words left without cells disappear.  Beside both matrices it holds one
         renumbered day and one flag per cell, never a row per cell."""
-        new_day = np.full(self.horizon, -1, dtype=np.int64)
+        new_day = np.full(self.horizon, -1, dtype=np.int32)
         new_day[np.asarray(kept, dtype=np.intp)] = np.arange(len(kept))
         days = new_day[self.days]
         keep = days >= 0
@@ -181,20 +182,23 @@ class WordDayMatrix:
         lengths = np.diff(self.indptr)
         if lengths.size and lengths.min() < 1:
             return int(np.argmin(lengths)), "no day entries"
-        # a row's first day is compared with -1, every other day with its predecessor
-        unordered = np.zeros(self.days.size, dtype=bool)
-        unordered[1:] = self.days[1:] <= self.days[:-1]
-        unordered[self.indptr[:-1]] = self.days[self.indptr[:-1]] < 0
-        bad = unordered | (self.days >= self.horizon) | (self.counts < 1)
-        if not bad.any():
-            return None
-        cell = int(np.argmax(bad))
-        row = int(np.searchsorted(self.indptr, cell, side="right")) - 1
-        if unordered[cell]:
-            return row, "days not ascending"
-        if self.days[cell] >= self.horizon:
-            return row, f"day {self.days[cell]} outside horizon"
-        return row, f"count {self.counts[cell]} < 1"
+        for a in range(0, self.days.size, _BLOCK_CELLS):  # a block at a time: no array holds a value per cell
+            days = self.days[a:a + _BLOCK_CELLS]
+            # each day is compared with its predecessor, a row's first day with -1 (cell 0 starts row 0)
+            prev = np.empty_like(days)
+            prev[1:], prev[0] = days[:-1], self.days[a - 1]
+            i, j = np.searchsorted(self.indptr, (a, a + days.size))
+            prev[self.indptr[i:j] - a] = -1
+            bad = (days <= prev) | (days >= self.horizon) | (self.counts[a:a + days.size] < 1)
+            if bad.any():
+                cell = int(np.argmax(bad))
+                row = int(np.searchsorted(self.indptr, a + cell, side="right")) - 1
+                if days[cell] <= prev[cell]:
+                    return row, "days not ascending"
+                if days[cell] >= self.horizon:
+                    return row, f"day {days[cell]} outside horizon"
+                return row, f"count {self.counts[a + cell]} < 1"
+        return None
 
     def _cells(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the cells of ``rows``, row after row, and each row's number of cells."""
@@ -209,11 +213,14 @@ def _indptr(lengths) -> np.ndarray:
     return np.concatenate([np.zeros(1, np.int64), np.cumsum(lengths, dtype=np.int64)])
 
 
-def _append_cells(buffers: tuple[array, array], days: np.ndarray, counts: np.ndarray) -> None:
-    """Append cells to the (days, counts) int64 buffers of a matrix being
-    built, so the cells are held once, not as pieces and then a concatenation."""
+def _append_cells(buffers: list[array], days: np.ndarray, counts: np.ndarray) -> None:
+    """Append cells to the [days, counts] buffers of a matrix being built, so
+    the cells are held once, not as pieces and then a concatenation.  Days
+    go in as int32 (typecode "i"), as a valid day is below ``MAX_HORIZON`` <
+    2^31, and counts as int64 ("q"); a caller whose days may be larger first
+    widens the days buffer, so such a day is reported, not wrapped."""
     for buffer, values in zip(buffers, (days, counts)):
-        buffer.frombytes(values.astype(np.int64, copy=False).tobytes())
+        buffer.frombytes(values.astype(buffer.typecode, copy=False).tobytes())
 
 
 def save_matrix(matrix: WordDayMatrix, path) -> None:
@@ -251,7 +258,7 @@ def load_matrix(path) -> WordDayMatrix:
     words: list[str] = []
     linenos: list[int] = []
     lengths = array("q")
-    buffers = (array("q"), array("q"))  # days, counts
+    buffers = [array("i"), array("q")]  # days, counts
     pending: list[tuple[int, str]] = []  # (line number, cells) of the block being read
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -273,29 +280,34 @@ def load_matrix(path) -> WordDayMatrix:
             lengths.append(cells.count(",") + 1)
             pending.append((lineno, cells))
             if len(pending) == _BLOCK_LINES:
-                _append_cells(buffers, *_parse_cells(path, pending))
+                _parse_cells(path, pending, buffers)
                 pending = []
-    _append_cells(buffers, *_parse_cells(path, pending))
-    matrix = WordDayMatrix(int(digits), tuple(words), _indptr(lengths), *(np.frombuffer(b, np.int64) for b in buffers))
+    _parse_cells(path, pending, buffers)
+    matrix = WordDayMatrix(int(digits), tuple(words), _indptr(lengths),
+                           *(np.frombuffer(b, b.typecode) for b in buffers))
     problem = matrix._first_problem()
     if problem is not None:
         raise CorpusFormatError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
     return matrix
 
 
-def _parse_cells(path, lines: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """(days, counts) of the cells of (line number, cells) pairs.  A block that
-    fails the bulk check, or holds 2^63 - 1 (as the bulk parser reads any
-    larger value), is checked line by line, so the error names its line."""
+def _parse_cells(path, lines: list[tuple[int, str]], buffers: list[array]) -> None:
+    """Append the cells of (line number, cells) pairs to the [days, counts]
+    buffers.  A block that fails the bulk check, or holds 2^63 - 1 (as the
+    bulk parser reads any larger value), is checked line by line, so the
+    error names its line.  A day past 2^31 - 1 widens the days buffer to
+    int64, so the matrix check reports that day as it is written."""
     if not lines:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return
     values = _block_values("\n".join(cells for _, cells in lines).encode(), len(lines))
     if values is None or (values == _INT64_MAX).any():
         for lineno, cells in lines:
             bad = _bad_cell(cells)
             if bad is not None:
                 raise CorpusFormatError(f"{path}:{lineno}: bad cell {bad!r}")
-    return values[0::2], values[1::2]
+    if buffers[0].typecode == "i" and values[0::2].max() > np.iinfo(np.int32).max:
+        buffers[0] = array("q", buffers[0])
+    _append_cells(buffers, values[0::2], values[1::2])
 
 
 def _block_values(text: bytes, n_lines: int) -> np.ndarray | None:

@@ -216,6 +216,7 @@ class TestMatrixConstruction:
         *((3, {w: {0: 1}}, f"word {w!r}: holds a surrogate, which UTF-8 cannot encode")
           for w in ["a\ud800", "\u00e9\udfff", "\ud83d\ude00"]),
         (10**7 + 1, {}, "horizon must be <= 10000000"),
+        (5, {"w": {2**32: 1}}, "word 'w': day 4294967296 outside horizon"),  # as int32, day 0
     ])
     def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
         with pytest.raises(ValueError) as err:
@@ -235,8 +236,9 @@ class TestMatrixConstruction:
         m = WordDayMatrix.from_day_vectors(horizon, rows)
         assert m == WordDayMatrix.from_mapping(
             horizon, {w: {d: int(c) for d, c in enumerate(x) if c} for w, x in rows if x.any()})
-        for a in (m.indptr, m.days, m.counts):
-            assert a.dtype == np.int64 and not a.flags.writeable
+        # a day is below MAX_HORIZON < 2^31, so days are int32; cell offsets and counts are int64
+        assert (m.indptr.dtype, m.days.dtype, m.counts.dtype) == (np.int64, np.int32, np.int64)
+        assert not any(a.flags.writeable for a in (m.indptr, m.days, m.counts))
 
 
 class TestMatrixSerialization:
@@ -268,6 +270,8 @@ class TestMatrixSerialization:
             "#T=5\nw\t1:1\nv\t2:1\n",  # words not sorted
             "#T=5\nw\t1:1:1\n",       # malformed cell
             "#T=5\nw\t1:99999999999999999999\n",  # count beyond 64 bits
+            "#T=5\nw\t2147483648:1\n",  # day 2^31
+            "#T=5\nw\t4294967296:1\n",  # day 2^32, 0 if narrowed to int32
             # the horizon takes the digits of days and counts, and no more days than any matrix may have
             *(f"#T={horizon}\nw\t0:1\n" for horizon in ["+5", " 5", "1_0", "\u0663", "10000001"]),
             pytest.param("#T=" + "9" * 5000 + "\n", id="#T=5000 digits"),  # past int()'s default digit limit
@@ -278,6 +282,34 @@ class TestMatrixSerialization:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(CorpusFormatError):
             load_matrix(path)
+
+    def test_day_order_is_checked_across_cell_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matrix_module, "_BLOCK_CELLS", 4)
+        path = tmp_path / "m.tsv"
+        # b's first cell starts the second block, below a's last day, as a row may
+        path.write_text("#T=9\na\t0:1,1:1,2:1,4:1\nb\t0:1,5:1\n", encoding="utf-8")
+        assert load_matrix(path).series("b") == {0: 1, 5: 1}
+        # the third block starts with a day equal to the one before it
+        path.write_text("#T=9\na\t0:1,1:1,2:1,4:1\nb\t0:1,5:1,6:1,7:1,7:2\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:3: days not ascending"
+
+    @pytest.mark.parametrize("lines, message", [
+        (["w\t4294967296:1"], "2: day 4294967296 outside horizon"),
+        # checked after the word order, and only the first bad cell is named, in whichever block
+        (["w\t4294967296:1", "v\t0:1"], "3: words not sorted"),
+        (["a\t0:0", "w\t4294967296:1"], "2: count 0 < 1"),
+        ([f"w{i:05d}\t0:1" for i in range(3000)] + ["x\t1:1,9223372036854775806:1"],
+         "3002: day 9223372036854775806 outside horizon"),
+        ([f"w{i:05d}\t0:1" for i in range(3000)] + ["x\t3:1,2:1,4294967296:1"], "3002: days not ascending"),
+    ])
+    def test_rejects_day_past_2_31_unwrapped(self, tmp_path, lines, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#T=5\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:{message}"
 
     @pytest.mark.parametrize("cells, bad", [
         ("0:9223372036854775808", "0:9223372036854775808"),  # 2^63: the bulk parser would read 2^63 - 1
@@ -372,6 +404,19 @@ class TestMatrixMemory:
         save_matrix(WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)), path)
         monkeypatch.setattr(matrix_module, "_BLOCK_LINES", 64)
         assert self._peak_over_cells(lambda: load_matrix(path)) <= 1.6
+
+    def test_validate_holds_no_cell_sized_temporary(self):
+        """The invariants are checked a block of cells at a time."""
+        m = WordDayMatrix.from_day_vectors(1000, self._poisson_words(3000, 1000))
+        assert m.days.size >= 2**20
+        m.validate()  # lazy imports happen outside the traced run
+        tracemalloc.start()
+        try:
+            m.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.days.size
 
 
 class TestReaderMemory:

@@ -445,11 +445,12 @@ class TestZetaByEnsemble:
         assert rows == [r for r in zeta_by_ensemble(select_dilute(index), m, seed=1) if 20 <= r.k <= 30]
 
 
-def per_resample_zeta_rows(classes, m, n_boot=200, seed=0):
-    """Reference: the bootstrap drawn one resample at a time."""
+def per_resample_zeta_rows(classes, m, n_boot=200, seed=0, gaps=None):
+    """Reference: the bootstrap drawn one resample at a time, on the gaps that
+    ``gaps(rows)`` returns (``m.gaps`` unless given)."""
     rows = []
     for ens in classes:
-        n, taus = m.gaps(ens.rows)
+        n, taus = (gaps or m.gaps)(ens.rows)
         if taus.size < 2:
             continue
         z = zeta(taus)
@@ -490,6 +491,28 @@ class TestZetaBlocks:
                 monkeypatch.setattr(waiting, "BOOT_BLOCK_PICKS", picks)
                 assert zeta_by_ensemble(classes, m, seed=seed) == expected
             monkeypatch.undo()
+
+    def test_gaps_longer_than_46340_days_stay_exact(self):
+        """Such a gap's square passes 2^31: the gaps are int64, so the
+        squared-gap sums equal those of gaps computed from Python ints."""
+        horizon = 100_000
+        rng = np.random.default_rng(53)
+        counts = {f"k{k}w{i}": {d: 1 for d in rng.choice(horizon, k, replace=False).tolist()}
+                  for k in (2, 3, 4) for i in range(6)}
+        counts["far"] = {0: 1, horizon - 1: 1}
+        m = build_matrix(counts, horizon)
+
+        def python_gaps(rows):
+            days = [sorted(counts[m.words[r]]) for r in rows]
+            return np.array([len(d) - 1 for d in days]), np.array([b - a for d in days for a, b in zip(d, d[1:])])
+
+        taus = m.gaps(range(m.vocabulary_size))[1]
+        assert taus.dtype == np.int64 and taus.max() == horizon - 1 and (taus > 46_340).sum() > 5
+        classes = select_dilute(build_ensembles(m))
+        for seed in (0, 7):
+            expected = per_resample_zeta_rows(classes, m, seed=seed, gaps=python_gaps)
+            assert [r.k for r in expected] == [2, 3, 4]
+            assert zeta_by_ensemble(classes, m, seed=seed) == expected
 
 
 class TestLogBinning:
