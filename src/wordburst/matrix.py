@@ -27,7 +27,6 @@ import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,11 +58,13 @@ class WordDayMatrix:
     def from_mapping(cls, horizon: int, counts: Mapping[str, Mapping[int, int]]) -> "WordDayMatrix":
         """Build from ``{word: {day: count}}``; raises ValueError on a broken invariant."""
         words = sorted(counts)
-        lengths = [len(counts[w]) for w in words]
-        n_cells = sum(lengths)
-        rows = np.repeat(np.arange(len(words)), lengths)
-        days = np.fromiter(chain.from_iterable(counts[w].keys() for w in words), np.int64, n_cells)
-        values = np.fromiter(chain.from_iterable(counts[w].values() for w in words), np.int64, n_cells)
+        cells = [(r, d, c) for r, w in enumerate(words) for d, c in counts[w].items()]
+        wide = [(words[r], d, c) for r, d, c in cells if abs(d) > _INT64_MAX or abs(c) > _INT64_MAX]
+        if wide:  # int64 cannot hold it: name it here, as validate() names the other broken cells
+            word, day, count = wide[0]
+            raise ValueError(f"word {word!r}: " + (f"day {day} outside horizon" if abs(day) > _INT64_MAX
+                             else f"count {count} " + ("< 1" if count < 1 else "exceeds 2^63 - 1")))
+        rows, days, values = np.array(cells, np.int64).reshape(-1, 3).T
         order = np.lexsort((days, rows))  # rows stay in place, days ascend within each
         return cls.from_sorted_cells(horizon, words, rows, days[order], values[order])
 

@@ -14,7 +14,7 @@ Three word-event processes over an integer day grid:
   land in day bins.
 
 Generation is deterministic given the spec: word i consumes only its
-own substreams (events on channel 0, parameters on channel 1), so a
+own substreams (events on channel 0, tau_c on channel 1), so a
 degenerate mixture reproduces the plain Poisson corpus bit for bit.
 """
 from __future__ import annotations
@@ -23,14 +23,15 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable, Iterable
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import stretched
 from .errors import SpecValidationError
 from .matrix import MAX_HORIZON, WordDayMatrix
-from .seeding import EVENT_CHANNEL, MAX_INDEX, PARAM_CHANNEL, substreams
+from .seeding import EVENT_CHANNEL, MAX_INDEX, PARAM_CHANNEL, first_doubles, substreams
 
 PROCESSES = ("poisson", "heterogeneous-poisson", "stretched-renewal")
 RATE_DISTRIBUTIONS = ("log-uniform", "two-point")
@@ -156,15 +157,17 @@ def generate_poisson(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     return _corpus(spec, (rng.poisson(spec.rate, spec.horizon) for rng in events))
 
 
-def tau_c_law(spec: SyntheticCorpusSpec) -> Callable[[np.random.Generator], float]:
-    """The spec's tau_c law as a draw from a word's parameter stream."""
-    if spec.rate_distribution == "log-uniform":
-        if spec.tau_min == spec.tau_max:
-            return lambda rng: float(spec.tau_min)
+def tau_c_draws(spec: SyntheticCorpusSpec) -> Iterator[float]:
+    """Each word's tau_c: the spec's law on the first double of its parameter stream, a block at a time."""
+    if spec.rate_distribution == "two-point":
+        values, cdf = np.asarray(spec.tau_values, dtype=float), np.cumsum(spec.weights, dtype=float)
+        law = lambda u: values[(cdf / cdf[-1]).searchsorted(u, side="right")]  # as Generator.choice(2, p=weights)
+    elif spec.tau_min < spec.tau_max:
         lo, hi = np.log(spec.tau_min), np.log(spec.tau_max)
-        return lambda rng: float(np.exp(rng.uniform(lo, hi)))
-    values, weights = np.asarray(spec.tau_values, dtype=float), np.asarray(spec.weights, dtype=float)
-    return lambda rng: float(values[rng.choice(2, p=weights)])
+        law = lambda u: np.exp(lo + (hi - lo) * u)  # as Generator.uniform(lo, hi)
+    else:  # a point mass draws nothing
+        return repeat(float(spec.tau_min), spec.n_words)
+    return chain.from_iterable(law(u).tolist() for u in first_doubles(spec.seed, spec.n_words, PARAM_CHANNEL))
 
 
 def generate_heterogeneous(spec: SyntheticCorpusSpec) -> WordDayMatrix:
@@ -174,10 +177,8 @@ def generate_heterogeneous(spec: SyntheticCorpusSpec) -> WordDayMatrix:
     leaves the event streams identical to :func:`generate_poisson` at
     rate 1/tau_c under the same seed.
     """
-    draw_tau_c = tau_c_law(spec)
-    params = substreams(spec.seed, spec.n_words, PARAM_CHANNEL)
     events = substreams(spec.seed, spec.n_words, EVENT_CHANNEL)
-    return _corpus(spec, (rng.poisson(1.0 / draw_tau_c(p), spec.horizon) for p, rng in zip(params, events)))
+    return _corpus(spec, (rng.poisson(1.0 / tau_c, spec.horizon) for tau_c, rng in zip(tau_c_draws(spec), events)))
 
 
 def generate_stretched_renewal(spec: SyntheticCorpusSpec) -> WordDayMatrix:

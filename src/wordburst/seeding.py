@@ -3,18 +3,19 @@
 All randomized code derives per-unit generators from one master seed via
 ``numpy.random.SeedSequence`` spawn keys, so results do not depend on
 iteration order or scheduling.  Channel 0 is reserved for event/count
-draws, channel 1 for per-word parameter draws; keeping them separate
-means a generator that skips a parameter draw consumes the exact same
-event stream as one that does not.
+draws, channel 1 for a word's parameter, its stream's first double;
+keeping them separate means a generator that skips a parameter draw
+consumes the exact same event stream as one that does not.
 
 :func:`substreams` reproduces numpy's derivation (the ``SeedSequence``
 entropy hash, then PCG64's seeding step) in array arithmetic over blocks
 of indices, at about a quarter of the cost of a ``SeedSequence`` per unit;
-``tests/test_seeding.py`` pins it against :func:`substream`.
+:func:`first_doubles` takes one PCG64 step more, with no ``Generator``.
+``tests/test_seeding.py`` pins both against :func:`substream`.
 """
 from __future__ import annotations
 
-from itertools import accumulate, pairwise, permutations, product, repeat
+from itertools import accumulate, chain, pairwise, permutations, product, repeat
 from typing import Iterator
 
 import numpy as np
@@ -38,15 +39,27 @@ def substream(seed: int, index: int, channel: int = EVENT_CHANNEL) -> np.random.
 def substreams(seed: int, count: int, channel: int = EVENT_CHANNEL) -> Iterator[np.random.Generator]:
     """Yield ``substream(seed, i, channel)`` for i = 0 .. count-1 as one generator
     re-seeded per index: use each before requesting the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in chain.from_iterable(_state_blocks(seed, count, channel)):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def first_doubles(seed: int, count: int, channel: int) -> Iterator[np.ndarray]:
+    """Yield ``substream(seed, i, channel).random()`` for i = 0 .. count-1, one array per block."""
+    for block in _state_blocks(seed, count, channel):  # one PCG64 step from each seeded state
+        hi, lo = np.array([divmod((state * _PCG_MULT + inc) & _M128, 2**64) for state, inc in block], np.uint64).T
+        xsl, rot = hi ^ lo, hi >> 58  # the XSL-RR output, then numpy's next_double
+        yield ((xsl >> rot | xsl << (-rot & 63)) >> 11) * 2.0**-53
+
+
+def _state_blocks(seed: int, count: int, channel: int) -> Iterator[Iterator[tuple[int, int]]]:
     np.random.SeedSequence(seed)  # rejects the seeds numpy rejects
     if count > MAX_INDEX + 1:
         raise ValueError(f"at most {MAX_INDEX + 1} substreams per seed and channel")
-    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, count, BLOCK):
-        for state, inc in _pcg64_states(seed, np.arange(start, min(count, start + BLOCK)), channel):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
+        yield _pcg64_states(seed, np.arange(start, min(count, start + BLOCK)), channel)
 
 
 def _hasher(init: int, mult: int):

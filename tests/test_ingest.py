@@ -217,6 +217,12 @@ class TestMatrixConstruction:
           for w in ["a\ud800", "\u00e9\udfff", "\ud83d\ude00"]),
         (10**7 + 1, {}, "horizon must be <= 10000000"),
         (5, {"w": {2**32: 1}}, "word 'w': day 4294967296 outside horizon"),  # as int32, day 0
+        # past int64: named, not an OverflowError from the array build
+        (5, {"w": {2**64: 1}}, "word 'w': day 18446744073709551616 outside horizon"),
+        (5, {"w": {-2**63 - 1: 1}}, "word 'w': day -9223372036854775809 outside horizon"),
+        (5, {"w": {1: 2**63}}, "word 'w': count 9223372036854775808 exceeds 2^63 - 1"),
+        (5, {"w": {1: -2**64}}, "word 'w': count -18446744073709551616 < 1"),
+        (5, {"a": {0: 1, 1: 2**63 - 1}, "b": {2: 1, 2**70: 1}}, "word 'b': day 1180591620717411303424 outside horizon"),
     ])
     def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
         with pytest.raises(ValueError) as err:
