@@ -34,7 +34,6 @@ from .waiting import (
     rescale_time,
     rescaled_survival,
     risk_function,
-    waiting_times,
     zeta,
     zeta_by_ensemble,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "rescale_time",
     "rescaled_survival",
     "risk_function",
-    "waiting_times",
     "zeta",
     "zeta_by_ensemble",
 ]

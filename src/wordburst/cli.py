@@ -144,7 +144,10 @@ def cmd_analyze(args) -> int:
     args.k_lo = k_lo if args.k_min is None else args.k_min
     args.k_hi = k_hi if args.k_max is None else args.k_max
     if args.k_lo is not None and args.k_hi is not None and args.k_lo > args.k_hi:
-        print(f"wordburst: error: --k-min {args.k_lo} exceeds --k-max {args.k_hi}", file=sys.stderr)
+        default = "dense mode's default "  # name a bound the user did not pass as that default
+        problem = (f"--k-max {args.k_hi} is below {default}--k-min {args.k_lo}" if args.k_min is None else
+                   f"--k-min {args.k_lo} exceeds {'' if args.k_max is not None else default}--k-max {args.k_hi}")
+        print(f"wordburst: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     config = {
         "input": args.input, "mode": args.mode, "k_min": args.k_min,

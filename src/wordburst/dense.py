@@ -93,20 +93,6 @@ def _pool(ks: np.ndarray, horizon: int, block_of) -> RescaledCountDistribution:
                                      skipped_words=ks.size - used, clipped_count=used * horizon - total_in)
 
 
-def poisson_null_ensemble(k: int, horizon: int, n_words: int, seed: int,
-                          name_prefix: str = "null") -> WordDayMatrix:
-    """Words with exactly ``k`` events each dropped uniformly into day boxes.
-
-    Deterministic given the seed: word i draws from its own substream, so
-    the result is independent of generation order.
-    """
-    if k < 1 or n_words < 1:
-        raise ValueError("k and n_words must be >= 1")
-    width = len(str(n_words - 1))
-    names = [f"{name_prefix}k{k}_{i:0{width}d}" for i in range(n_words)]
-    return WordDayMatrix.from_day_vectors(horizon, zip(names, _box_draws([k] * n_words, horizon, seed)))
-
-
 def matched_poisson_null(classes: list[Ensemble], horizon: int, seed: int) -> RescaledCountDistribution:
     """Pooled standardized daily counts of a box-allocation twin of each word of ``classes``,
     the i-th lowest row's twin drawn from substream i and pooled without building a matrix."""

@@ -42,10 +42,6 @@ class EnsembleIndex:
     def ks(self) -> list[int]:
         return sorted(self.by_k)
 
-    @property
-    def vocabulary_size(self) -> int:
-        return sum(e.n_k for e in self.by_k.values())
-
 
 def build_ensembles(matrix: WordDayMatrix) -> EnsembleIndex:
     """Partition the vocabulary by exact total count."""

@@ -20,7 +20,7 @@ import re
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class ScanLog:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusFormatError(f"bad scan log: {exc}") from exc
         return cls(days)
-
-    def to_dict(self) -> dict:
-        return {"days": [asdict(d) for d in self.days]}
-
 
 @dataclass
 class CleaningReport:

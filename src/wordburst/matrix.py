@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,20 +52,6 @@ class WordDayMatrix:
     def __post_init__(self):
         for a in (self.indptr, self.days, self.counts):
             a.flags.writeable = False
-
-    @classmethod
-    def from_mapping(cls, horizon: int, counts: Mapping[str, Mapping[int, int]]) -> "WordDayMatrix":
-        """Build from ``{word: {day: count}}``; raises ValueError on a broken invariant."""
-        words = sorted(counts)
-        cells = [(r, d, c) for r, w in enumerate(words) for d, c in counts[w].items()]
-        wide = [(words[r], d, c) for r, d, c in cells if abs(d) > _INT64_MAX or abs(c) > _INT64_MAX]
-        if wide:  # int64 cannot hold it: name it here, as validate() names the other broken cells
-            word, day, count = wide[0]
-            raise ValueError(f"word {word!r}: " + (f"day {day} outside horizon" if abs(day) > _INT64_MAX
-                             else f"count {count} " + ("< 1" if count < 1 else "exceeds 2^63 - 1")))
-        rows, days, values = np.array(cells, np.int64).reshape(-1, 3).T
-        order = np.lexsort((days, rows))  # rows stay in place, days ascend within each
-        return cls.from_sorted_cells(horizon, words, rows, days[order], values[order])
 
     @classmethod
     def from_sorted_cells(cls, horizon: int, words: Sequence[str], rows: np.ndarray,
@@ -97,17 +82,6 @@ class WordDayMatrix:
     def vocabulary_size(self) -> int:
         return len(self.words)
 
-    def row(self, word: str) -> int:
-        """Row of ``word``; KeyError for a word not in the matrix."""
-        r = bisect_left(self.words, word)
-        if r == len(self.words) or self.words[r] != word:
-            raise KeyError(word)
-        return r
-
-    def total(self, word: str) -> int:
-        """Total occurrences of ``word`` over the whole horizon."""
-        return sum(self.counts[self._cells([self.row(word)])[0]].tolist())
-
     def totals(self) -> np.ndarray:
         """Total occurrences of every word, in row order; raises
         :class:`CorpusFormatError` naming a word whose total exceeds 2^63 - 1."""
@@ -118,11 +92,6 @@ class WordDayMatrix:
             if over.any():
                 raise CorpusFormatError(f"word {self.words[np.argmax(over)]!r}: total count exceeds 2^63 - 1")
         return np.add.reduceat(self.counts, self.indptr[:-1])
-
-    def series(self, word: str) -> dict[int, int]:
-        """``{day: count}`` of one word."""
-        cells = self._cells([self.row(word)])[0]
-        return dict(zip(self.days[cells].tolist(), self.counts[cells].tolist()))
 
     def gaps(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Waiting times of the words in ``rows``: (number of gaps per row, all

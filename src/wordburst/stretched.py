@@ -32,13 +32,6 @@ def normalization(a: float, nu: float) -> float:
     return a * nu / special.gamma(1.0 / nu)
 
 
-def pdf(tau, a: float, nu: float):
-    """Density C * exp(-(a*tau)**nu) evaluated elementwise."""
-    _check(a, nu)
-    tau = np.asarray(tau, dtype=float)
-    return normalization(a, nu) * np.exp(-np.power(a * tau, nu))
-
-
 def survival(t, a: float, nu: float):
     """P(tau > t) for the continuous law."""
     from scipy import special
@@ -51,11 +44,6 @@ def moment(m: int, a: float, nu: float) -> float:
     """Exact m-th moment of the law; math.gamma raises OverflowError past about 171."""
     _check(a, nu)
     return math.gamma((m + 1.0) / nu) / (a**m * math.gamma(1.0 / nu))
-
-
-def dispersion_ratio(nu: float) -> float:
-    """<tau^2>/<tau>^2, a function of the shape alone (10/3 at nu=1/2)."""
-    return moment(2, 1.0, nu) / moment(1, 1.0, nu) ** 2
 
 
 def sample(rng: np.random.Generator, size: int, a: float, nu: float) -> np.ndarray:

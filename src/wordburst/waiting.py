@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,16 +32,6 @@ from .seeding import substream
 RISK_FLOOR = 1e-4  # risk points at or below this are left out of the stretched fit
 T_R_MAX = 3.0  # rescaled-time cut of the collapse curves
 BOOT_BLOCK_PICKS = 1 << 20  # words drawn per block of zeta resamples: 8 MB of indices
-
-
-def waiting_times(series: Mapping[int, int], horizon: int) -> np.ndarray:
-    """Day gaps between consecutive event-days of one word.
-
-    ``series`` maps day index to a positive post count; multiplicity
-    within a day is ignored.  A word with fewer than two event-days
-    yields an empty sample.
-    """
-    return WordDayMatrix.from_mapping(horizon, {"": series}).gaps([0])[1]
 
 
 @dataclass

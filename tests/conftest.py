@@ -2,12 +2,29 @@ import numpy as np
 import pytest
 
 from wordburst.matrix import WordDayMatrix
+from wordburst.seeding import substream
 
 
 def build_matrix(counts: dict[str, dict[int, int]], horizon: int) -> WordDayMatrix:
-    m = WordDayMatrix.from_mapping(horizon, counts)
-    m.validate()
-    return m
+    """The matrix of ``{word: {day: count}}``, built from (row, day)-sorted cells as ``bin_daily`` builds one."""
+    words = sorted(counts)
+    cells = sorted((r, d, c) for r, w in enumerate(words) for d, c in counts[w].items())
+    return WordDayMatrix.from_sorted_cells(horizon, words, *np.array(cells, np.int64).reshape(-1, 3).T)
+
+
+def series(m: WordDayMatrix, word: str) -> dict[int, int]:
+    """``{day: count}`` of one word, read straight from its row's cells."""
+    r = m.words.index(word)
+    a, b = m.indptr[r], m.indptr[r + 1]
+    return dict(zip(m.days[a:b].tolist(), m.counts[a:b].tolist()))
+
+
+def box_null(ks, horizon, seed, prefix="") -> WordDayMatrix:
+    """The box-allocation Poisson null: word i drops its ``ks[i]`` events
+    uniformly into the day boxes, drawn from ``substream(seed, i)``."""
+    p = np.full(horizon, 1.0 / horizon)
+    return WordDayMatrix.from_day_vectors(horizon, ((f"{prefix}{i:06d}", substream(seed, i).multinomial(k, p))
+                                                    for i, k in enumerate(ks)))
 
 
 def burst_matrix(ks, horizon, n_days, seed, name_prefix="bursty") -> WordDayMatrix:
@@ -20,13 +37,13 @@ def burst_matrix(ks, horizon, n_days, seed, name_prefix="bursty") -> WordDayMatr
         words[f"{name_prefix}{i:05d}"] = {
             int(d): int(c) for d, c in zip(days, counts) if c > 0
         }
-    return WordDayMatrix.from_mapping(horizon, words)
+    return build_matrix(words, horizon)
 
 
 def union(parts) -> WordDayMatrix:
     """One matrix holding the words of ``parts``, matrices over one horizon
     with disjoint vocabularies."""
-    return WordDayMatrix.from_mapping(parts[0].horizon, {w: m.series(w) for m in parts for w in m.words})
+    return build_matrix({w: series(m, w) for m in parts for w in m.words}, parts[0].horizon)
 
 
 def exhaust_least_squares(monkeypatch) -> None:

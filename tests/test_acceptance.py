@@ -13,7 +13,7 @@ from scipy import integrate, stats
 
 from wordburst import stretched
 from wordburst.cli import EXIT_OK, main
-from wordburst.dense import pool_rescaled, poisson_null_ensemble
+from wordburst.dense import pool_rescaled
 from wordburst.ensembles import build_ensembles, select_dense, select_dilute
 from wordburst.ingest import ScanDay, ScanLog, clean_missing_scans
 from wordburst.matrix import save_matrix
@@ -34,12 +34,11 @@ from wordburst.waiting import (
     mean_waiting_check,
     rescaled_survival,
     risk_function,
-    waiting_times,
     zeta,
     zeta_by_ensemble,
 )
 
-from conftest import build_matrix, burst_matrix, union
+from conftest import box_null, build_matrix, burst_matrix, union
 
 HORIZON = 214
 
@@ -74,7 +73,7 @@ def test_criterion_01_poisson_dispersion_baseline():
 def test_criterion_02_stretched_closed_forms():
     t0 = time.time()
     a = 0.1
-    pdf = lambda t: stretched.pdf(t, a, 0.5)
+    pdf = lambda t: stretched.normalization(a, 0.5) * np.exp(-np.sqrt(a * t))
     norm, _ = integrate.quad(pdf, 0, np.inf)
     m1, _ = integrate.quad(lambda t: t * pdf(t), 0, np.inf, limit=200)
     m2, _ = integrate.quad(lambda t: t * t * pdf(t), 0, np.inf, limit=200)
@@ -212,8 +211,7 @@ def test_criterion_07_rank_fit_recovery():
 def test_criterion_08_dense_null_standardization():
     t0 = time.time()
     ks = np.linspace(1000, 2000, 11).astype(int)
-    parts = [poisson_null_ensemble(int(k), HORIZON, 46, seed=108_000 + i, name_prefix=f"n{i}_")
-             for i, k in enumerate(ks)]
+    parts = [box_null([int(k)] * 46, HORIZON, seed=108_000 + i, prefix=f"n{i}_") for i, k in enumerate(ks)]
     m = union(parts)
     block = m.dense_block(np.arange(m.vocabulary_size))
     dev = block - (block.sum(axis=1) / HORIZON)[:, None]
@@ -225,7 +223,7 @@ def test_criterion_08_dense_null_standardization():
     bmean = np.sum(binned.bin_centers * binned.density * widths)
     bvar = np.sum(binned.bin_centers**2 * binned.density * widths) - bmean**2
 
-    null = poisson_null_ensemble(1000, HORIZON, 500, seed=108)
+    null = box_null([1000] * 500, HORIZON, seed=108)
     xs = null.dense_block(np.arange(null.vocabulary_size)).ravel()
     law = stats.binom(1000, 1 / HORIZON)
     observed = np.bincount(xs)
@@ -259,8 +257,7 @@ def test_criterion_09_bursty_tail_direction():
     ks = [1000 + 9 * i for i in range(112)]  # spread over [1000, 2000]
     bursty = burst_matrix(ks, HORIZON, n_days=10, seed=109)
     pooled_b = pool_rescaled(select_dense(build_ensembles(bursty), 1000, 2000), bursty)
-    null = union([poisson_null_ensemble(int(k), HORIZON, 1, seed=109_000 + i, name_prefix=f"n{i}_")
-                  for i, k in enumerate(ks)])
+    null = union([box_null([k], HORIZON, seed=109_000 + i, prefix=f"n{i}_") for i, k in enumerate(ks)])
     pooled_n = pool_rescaled(select_dense(build_ensembles(null), 1000, 2000), null)
     tail_b = pooled_b.tail_mass(3.0)
     tail_n = pooled_n.tail_mass(3.0)
@@ -288,8 +285,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         for name in ("zeta.csv", "waiting.csv", "rescaled.csv", "fits.json", "manifest.json")
     )
 
-    dense_src = union([poisson_null_ensemble(1000 + 100 * i, HORIZON, 30, seed=110_500 + i, name_prefix=f"k{i}_")
-                       for i in range(4)])
+    dense_src = union([box_null([1000 + 100 * i] * 30, HORIZON, seed=110_500 + i, prefix=f"k{i}_") for i in range(4)])
     dense_path = tmp_path / "dense.tsv"
     save_matrix(dense_src, dense_path)
     den1, den2 = tmp_path / "e1", tmp_path / "e2"
@@ -325,7 +321,7 @@ def test_criterion_11_invariant_suite():
                                seed=1111, rate=0.2)
     m = generate(spec)
     index = build_ensembles(m)
-    mass_ok = sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words)
+    mass_ok = sum(k * index[k].n_k for k in index.ks()) == int(m.counts.sum())
 
     # cleaning idempotence
     base = build_matrix({"w": {d: 1 for d in range(40)}, "v": {3: 2, 17: 1}}, horizon=40)

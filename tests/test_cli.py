@@ -28,7 +28,7 @@ from wordburst.fileio import write_json
 from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
 from wordburst.waiting import aggregate_distribution, ensemble_distribution, fit_stretched_exponential, risk_function
 
-from conftest import build_matrix, exhaust_least_squares
+from conftest import build_matrix, exhaust_least_squares, series
 
 
 NESTING = 100_000  # nested JSON arrays, far past the decoder's recursion limit
@@ -153,7 +153,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--spec", str(spec), "--output", str(out)]) == EXIT_OK
         m = load_matrix(out / "matrix.tsv")
-        totals = np.array([m.total(w) for w in m.words])
+        totals = m.totals()
         assert totals.mean() == pytest.approx(42.8, rel=0.05)
 
 
@@ -173,7 +173,7 @@ class TestIngest:
         assert main(["ingest", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
         m = load_matrix(out / "matrix.tsv")
         assert m.horizon == 3
-        assert m.series("cat") == {0: 1, 2: 1}
+        assert series(m, "cat") == {0: 1, 2: 1}
         report = json.loads((out / "cleaning_report.json").read_text(encoding="utf-8"))
         assert report["removed_days"] == []
         assert report["retained_horizon"] == 3
@@ -571,6 +571,12 @@ SCAN_LOG_FIELDS = {
     "scan-log-count-bool": (1, "new_post_count", True),
     "scan-log-count-negative": (1, "new_post_count", -1),
 }
+# dense-mode k flags that leave an empty k-range: (flags, the error line, which names each bound's source)
+K_RANGES = {
+    "k-range-inverted": (["--k-min", "5", "--k-max", "2"], "--k-min 5 exceeds --k-max 2"),
+    "k-max-below-dense-default": (["--k-max", "999"], "--k-max 999 is below dense mode's default --k-min 1000"),
+    "k-min-above-dense-default": (["--k-min", "2500"], "--k-min 2500 exceeds dense mode's default --k-max 2000"),
+}
 
 
 class TestExitCodes:
@@ -622,14 +628,13 @@ class TestExitCodes:
         ("scan-log-not-contiguous", EXIT_DATA),
         ("scan-log-other-horizon", EXIT_DATA),
         ("scan-log-empty-path", EXIT_DATA),
-        ("k-range-inverted", EXIT_USAGE),
         ("input-is-directory", EXIT_DATA),
         ("matrix-horizon-zero", EXIT_DATA),
         ("matrix-horizon-10^14", EXIT_DATA),  # past the largest horizon; dilute mode would allocate 728 TiB
         ("matrix-not-utf8", EXIT_DATA),
         ("matrix-negative-cell", EXIT_DATA),
         ("matrix-cell-2^63", EXIT_DATA),
-        ("k-max-below-dense-default", EXIT_USAGE),
+        *((case, EXIT_USAGE) for case in K_RANGES),
         ("spec-seed-5000-digits", EXIT_DATA),  # past int()'s digit limit
         ("spec-nested-arrays", EXIT_DATA),  # past the JSON decoder's recursion limit
         ("scan-log-nested-arrays", EXIT_DATA),
@@ -651,10 +656,8 @@ class TestExitCodes:
             log.write_text("[" * NESTING if case == "scan-log-nested-arrays" else json.dumps({"days": entries}),
                            encoding="utf-8")
             argv = ["ingest", "--input", str(corpus), "--scan-log", "" if case == "scan-log-empty-path" else str(log)]
-        elif case == "k-range-inverted":
-            argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-min", "5", "--k-max", "2"]
-        elif case == "k-max-below-dense-default":
-            argv = ["analyze", "--input", str(matrix), "--mode", "dense", "--k-max", "999"]
+        elif case in K_RANGES:
+            argv = ["analyze", "--input", str(matrix), "--mode", "dense", *K_RANGES[case][0]]
         elif case == "input-is-directory":
             argv[2] = str(tmp_path)
         elif case == "spec-seed-5000-digits":
@@ -681,6 +684,8 @@ class TestExitCodes:
         assert err.startswith("wordburst: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+        if case in K_RANGES:
+            assert err == f"wordburst: error: {K_RANGES[case][1]}\n"
         if case in SCAN_LOG_FIELDS:
             day, field, _ = SCAN_LOG_FIELDS[case]
             assert f"day {day}: {field}" in err

@@ -8,15 +8,12 @@ from wordburst.dense import (
     BIN_WIDTH,
     matched_poisson_null,
     pool_rescaled,
-    poisson_null_ensemble,
     sigma_scaling,
     write_xtilde_csv,
 )
 from wordburst.ensembles import build_ensembles, select_dense
-from wordburst.matrix import WordDayMatrix
-from wordburst.seeding import substream
 
-from conftest import build_matrix, burst_matrix, union
+from conftest import box_null, build_matrix, burst_matrix, union
 
 
 def in_range(m, k_lo, k_hi):
@@ -32,9 +29,9 @@ class TestDailyCountDistribution:
         target = np.sqrt(k / horizon * (1 - 1 / horizon))
         assert target == pytest.approx(2.156, abs=1e-3)
         # two tiny classes let the scaling fit span a decade
-        m = union([poisson_null_ensemble(k, horizon, 400, seed=9),
-                   poisson_null_ensemble(100, horizon, 2, seed=10),
-                   poisson_null_ensemble(300, horizon, 2, seed=11)])
+        m = union([box_null([k] * 400, horizon, seed=9, prefix="a"),
+                   box_null([100] * 2, horizon, seed=10, prefix="b"),
+                   box_null([300] * 2, horizon, seed=11, prefix="c")])
         row = next(r for r in sigma_scaling(build_ensembles(m), m).rows if r.k == k)
         assert row.n_words == 400
         assert row.sigma_abs == pytest.approx(target, rel=0.01)
@@ -54,7 +51,7 @@ class TestRescaledPooling:
         assert (pooled.word_count, pooled.skipped_words) == (0, 1)
 
     def test_null_pool_is_standardized(self):
-        m = poisson_null_ensemble(1500, 214, 500, seed=12)
+        m = box_null([1500] * 500, 214, seed=12)
         pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         assert pooled.word_count == 500
         assert pooled.skipped_words == 0
@@ -66,7 +63,7 @@ class TestRescaledPooling:
         assert abs(var - 1.0) < 0.1
 
     def test_density_normalized_over_bins(self):
-        m = poisson_null_ensemble(1200, 214, 100, seed=13)
+        m = box_null([1200] * 100, 214, seed=13)
         pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         assert np.sum(pooled.density * np.diff(pooled.bin_edges)) == pytest.approx(1.0, rel=1e-9)
 
@@ -107,8 +104,7 @@ class TestRescaledPooling:
 class TestBlocks:
     def test_block_size_changes_no_result(self, monkeypatch):
         horizon = 30
-        parts = [poisson_null_ensemble(k, horizon, 7, seed=40 + i, name_prefix=f"n{i}_")
-                 for i, k in enumerate([40, 90, 200, 450])]
+        parts = [box_null([k] * 7, horizon, seed=40 + i, prefix=f"n{i}_") for i, k in enumerate([40, 90, 200, 450])]
         parts.append(burst_matrix([90, 90, 200, 450, 450], horizon, n_days=5, seed=45, name_prefix="b"))
         parts.append(build_matrix({f"flat{i}": {d: 15 for d in range(horizon)} for i in range(3)}, horizon))
         m = union(parts)  # classes of 3 to 12 words, zero-spread words among them
@@ -127,26 +123,26 @@ class TestBlocks:
 
 
 class TestPoissonNullEnsemble:
+    """``dense._box_draws``, the box-allocation draws of ``matched_poisson_null``."""
+
+    @staticmethod
+    def draws(k, horizon, n_words, seed):
+        return np.stack(list(dense._box_draws([k] * n_words, horizon, seed)))
+
     def test_single_event_lands_once(self):
-        m = poisson_null_ensemble(1, 214, 50, seed=3)
-        for w in m.words:
-            assert sum(m.series(w).values()) == 1
+        assert (self.draws(1, 214, 50, seed=3).sum(axis=1) == 1).all()
 
     def test_exact_totals(self):
-        m = poisson_null_ensemble(1000, 214, 30, seed=4)
-        assert all(m.total(w) == 1000 for w in m.words)
+        assert (self.draws(1000, 214, 30, seed=4).sum(axis=1) == 1000).all()
 
     def test_reproducible_bit_for_bit(self):
-        a = poisson_null_ensemble(500, 214, 40, seed=77)
-        b = poisson_null_ensemble(500, 214, 40, seed=77)
-        assert a == b
-        c = poisson_null_ensemble(500, 214, 40, seed=78)
-        assert a != c
+        a = self.draws(500, 214, 40, seed=77)
+        assert np.array_equal(a, self.draws(500, 214, 40, seed=77))
+        assert not np.array_equal(a, self.draws(500, 214, 40, seed=78))
 
     def test_day_counts_match_binomial_oracle(self):
         k, horizon, n_words = 1000, 214, 500
-        m = poisson_null_ensemble(k, horizon, n_words, seed=5)
-        xs = m.dense_block(np.arange(m.vocabulary_size)).ravel()
+        xs = self.draws(k, horizon, n_words, seed=5).ravel()
         observed = np.bincount(xs)
         law = stats.binom(k, 1 / horizon)
         # group cells so every expected count is >= 5
@@ -174,12 +170,9 @@ class TestPoissonNullEnsemble:
 class TestMatchedNull:
     @staticmethod
     def reference(classes, horizon, seed):
-        """The null as a matrix: word i, on the i-th lowest row of ``classes``,
-        drops its k events into the days from ``substream(seed, i)``; pooled."""
-        ks = [k for _, k in sorted((r, e.k) for e in classes for r in e.rows.tolist())]
-        p = np.full(horizon, 1.0 / horizon)
-        null = WordDayMatrix.from_day_vectors(horizon, (
-            (f"n{i:04d}", substream(seed, i).multinomial(k, p)) for i, k in enumerate(ks)))
+        """The null as a matrix, pooled: word i is the box-allocation twin of
+        the i-th lowest row of ``classes``."""
+        null = box_null([k for _, k in sorted((r, e.k) for e in classes for r in e.rows.tolist())], horizon, seed)
         index = build_ensembles(null)
         return pool_rescaled([index[k] for k in index.ks()], null)
 
@@ -207,7 +200,7 @@ class TestMatchedNull:
         import tracemalloc
 
         horizon = 214
-        m = poisson_null_ensemble(1500, horizon, 3000, seed=7)  # a matched null's cells take as many bytes
+        m = box_null([1500] * 3000, horizon, seed=7)  # a matched null's cells take as many bytes
         classes = in_range(m, 1000, 2000)
         matched_poisson_null(classes, horizon, seed=8)  # lazy imports happen outside the traced run
         tracemalloc.start()
@@ -222,11 +215,7 @@ class TestMatchedNull:
 
 class TestSigmaScaling:
     def build_null_by_k(self, ks, n_words, seed):
-        parts = [
-            poisson_null_ensemble(k, 214, n_words, seed + i, name_prefix=f"n{i}_")
-            for i, k in enumerate(ks)
-        ]
-        return union(parts)
+        return union([box_null([k] * n_words, 214, seed + i, prefix=f"n{i}_") for i, k in enumerate(ks)])
 
     def test_null_exponents(self):
         m = self.build_null_by_k([100, 300, 1000, 3000], 80, seed=21)
@@ -249,7 +238,7 @@ class TestSigmaScaling:
 
 class TestCsv:
     def test_written_columns(self, tmp_path):
-        m = poisson_null_ensemble(1200, 214, 50, seed=32)
+        m = box_null([1200] * 50, 214, seed=32)
         pooled = pool_rescaled(in_range(m, 1000, 2000), m)
         path = tmp_path / "xtilde.csv"
         write_xtilde_csv(path, pooled, pooled)

@@ -18,6 +18,8 @@ from wordburst.nullmodels import (
 )
 from wordburst.waiting import aggregate_distribution, zeta
 
+from conftest import series
+
 
 def poisson_spec(**kw):
     base = dict(process="poisson", horizon=214, n_words=1000, seed=1, rate=0.2)
@@ -88,13 +90,13 @@ class TestDeterminism:
         m2 = generate(poisson_spec(n_words=60))
         shared = set(m.words) & set(m2.words)
         assert shared
-        assert all(m.series(w) == m2.series(w) for w in shared)
+        assert all(series(m, w) == series(m2, w) for w in shared)
 
 
 class TestPoisson:
     def test_mean_total_near_rate_times_horizon(self):
         m = generate_poisson(poisson_spec(n_words=10_000))
-        totals = [m.total(w) for w in m.words]
+        totals = m.totals()
         # absent words are exponentially unlikely at this rate
         assert len(totals) == 10_000
         assert np.mean(totals) == pytest.approx(0.2 * 214, rel=0.05)
@@ -212,8 +214,7 @@ class TestStretchedRenewal:
 
     def test_events_respect_horizon(self):
         m = generate_stretched_renewal(self.spec(horizon=500, n_words=30, a=0.2))
-        for w in m.words:
-            assert max(m.series(w)) < 500
+        assert m.days.max() < 500
 
 
 def test_generate_dispatch_validates():

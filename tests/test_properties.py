@@ -3,19 +3,14 @@ import html
 import re
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordburst.ensembles import build_ensembles
 from wordburst.ingest import ScanDay, ScanLog, bin_daily, clean_missing_scans, tokenize
-from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import ModifiedPowerLawFit
-from wordburst.waiting import (
-    distribution_from_sample,
-    risk_function,
-    waiting_times,
-    zeta,
-)
+from wordburst.waiting import distribution_from_sample, risk_function, zeta
+
+from conftest import build_matrix, series
 
 # characters whose case round-trip is stable, so upper() cannot split
 # or merge tokens (ess-zet and friends are excluded by construction)
@@ -29,12 +24,9 @@ taus_arrays = st.lists(st.integers(1, 80), min_size=2, max_size=60).map(np.array
 
 
 def matrices(min_words=0):
-    def build(data, horizon):
-        return WordDayMatrix.from_mapping(horizon, data)
-
     return st.integers(3, 30).flatmap(
         lambda horizon: st.builds(
-            build,
+            build_matrix,
             st.dictionaries(
                 words,
                 st.dictionaries(st.integers(0, horizon - 1), st.integers(1, 4), min_size=1, max_size=horizon),
@@ -67,7 +59,7 @@ def test_tokens_are_lowercase_alnum(s):
 @given(st.lists(st.tuples(st.integers(0, 9), texts), min_size=1, max_size=12))
 def test_binning_conserves_distinct_word_mass(raw):
     m = bin_daily(raw)
-    lhs = sum(m.total(w) for w in m.words)
+    lhs = int(m.counts.sum())
     rhs = sum(len(set(tokenize(text))) for _, text in raw)
     assert lhs == rhs
 
@@ -103,7 +95,7 @@ def _reference_bin_daily(posts):
         for word in set(_reference_tokens(text)):
             days = counts.setdefault(word, {})
             days[day - epoch] = days.get(day - epoch, 0) + 1
-    return WordDayMatrix.from_mapping(max(day for day, _ in posts) - epoch + 1, counts)
+    return build_matrix(counts, max(day for day, _ in posts) - epoch + 1)
 
 
 def _binning_cases(texts):
@@ -134,7 +126,7 @@ def test_ascii_bin_daily_matches_dict_reference(posts):
 @given(matrices(min_words=1))
 def test_ensemble_partition_conserves_mass(m):
     index = build_ensembles(m)
-    assert sum(k * index[k].n_k for k in index.ks()) == sum(m.total(w) for w in m.words)
+    assert sum(k * index[k].n_k for k in index.ks()) == int(m.counts.sum())
     seen = [r for k in index.ks() for r in index[k].rows.tolist()]
     assert len(seen) == len(set(seen)) == m.vocabulary_size
 
@@ -145,21 +137,17 @@ def matrix_and_rows(m):
     return st.tuples(st.just(m), rows)
 
 
-@given(matrices().flatmap(matrix_and_rows), words)
-def test_row_addressed_views_match_each_words_series(case, other):
+@given(matrices().flatmap(matrix_and_rows))
+def test_row_addressed_views_match_each_words_series(case):
     m, rows = case
-    series = [m.series(m.words[r]) for r in rows]
+    counts = [series(m, m.words[r]) for r in rows]
     n, taus = m.gaps(rows)
-    per_word = [waiting_times(x, m.horizon) for x in series]
+    per_word = [np.diff(sorted(x)) for x in counts]  # each word's waiting times: its event days' differences
     assert n.tolist() == [t.size for t in per_word]
     assert taus.tolist() == [t for gaps in per_word for t in gaps.tolist()]
     block = m.dense_block(rows)
     assert block.shape == (len(rows), m.horizon)
-    assert block.tolist() == [[x.get(d, 0) for d in range(m.horizon)] for x in series]
-    assert [m.row(w) for w in m.words] == list(range(m.vocabulary_size))
-    for absent in {other, "", "zz"} - set(m.words):
-        with pytest.raises(KeyError):
-            m.row(absent)
+    assert block.tolist() == [[x.get(d, 0) for d in range(m.horizon)] for x in counts]
 
 
 @given(matrices(), st.lists(st.booleans(), min_size=0, max_size=29))
@@ -209,9 +197,8 @@ def test_rescaling_preserves_zeta(taus, k, horizon):
 
 @given(matrices(min_words=1))
 def test_waiting_times_counts(m):
-    for w in m.words:
-        n_days = len(m.series(w))
-        assert waiting_times(m.series(w), m.horizon).size == max(n_days - 1, 0)
+    n, taus = m.gaps(range(m.vocabulary_size))
+    assert n.tolist() == [len(series(m, w)) - 1 for w in m.words] and taus.size == n.sum()
 
 
 @given(

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wordburst import rankstats
 from wordburst.errors import EmptyCorpusError, FitDidNotConverge
 from wordburst.ingest import bin_daily
-from wordburst.matrix import WordDayMatrix
 from wordburst.rankstats import (
     RankCurve,
     fit_modified_power_law,
@@ -61,7 +60,7 @@ class TestRankCurve:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            rank_curve(WordDayMatrix.from_mapping(3, {}))
+            rank_curve(build_matrix({}, 3))
 
 
 class TestModifiedPowerLawFit:

@@ -19,6 +19,8 @@ from wordburst.seeding import (
     substreams,
 )
 
+from conftest import box_null
+
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9]  # the last has more entropy words than the pool
 
 
@@ -65,10 +67,10 @@ def test_generate_matches_per_word_streams(monkeypatch, fields):
     assert len(blocked.words) > BLOCK // 2
 
 
-def test_box_allocation_matches_per_word_streams(monkeypatch):
-    blocked = dense.poisson_null_ensemble(7, 30, BLOCK + 5, seed=3)
-    monkeypatch.setattr(dense, "substreams", per_word_substreams)
-    assert blocked == dense.poisson_null_ensemble(7, 30, BLOCK + 5, seed=3)
+def test_box_allocation_matches_per_word_streams():
+    ks = [1 + i % 9 for i in range(BLOCK + 5)]
+    blocked = np.stack(list(dense._box_draws(ks, 30, seed=3)))
+    assert np.array_equal(blocked, box_null(ks, 30, seed=3).dense_block(range(len(ks))))
 
 
 @pytest.mark.parametrize("channel", [EVENT_CHANNEL, PARAM_CHANNEL])
