@@ -4,9 +4,13 @@ Columnar layout, one row per word (compressed sparse rows):
 
 * ``words``: the vocabulary, sorted; ``words[r]`` owns row ``r``;
 * ``indptr``: row ``r`` owns cells ``indptr[r]:indptr[r+1]`` (int64);
-* ``days``: the day index of each cell, ascending within a row (int32, as
-  a day is below ``MAX_HORIZON`` < 2^31);
-* ``counts``: the number of posts containing the word that day, >= 1 (int64).
+* ``days``: the day index of each cell, ascending within a row;
+* ``counts``: the number of posts containing the word that day, >= 1.
+
+``days`` is held in the narrowest of int8, int16 and int32 that holds
+``horizon - 1``, and ``counts`` in the narrowest of int8 to int64 that
+holds the largest count (on the paper-scale corpus, 3 bytes a cell, not
+12); the views do their arithmetic in int64 a block at a time.
 
 A word absent on a day has no cell, and every word has at least one.
 The matrix is frozen, arrays included.  This module is the only one that
@@ -38,7 +42,8 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")  # the code points a str may hold 
 _INT64_MAX = 2**63 - 1
 MAX_HORIZON = 10**7  # days; a generated word and a dense block are horizon-long vectors
 _BLOCK_LINES = 1024  # matrix.tsv lines checked and parsed per bulk call; small, as freed block buffers stay resident
-_BLOCK_CELLS = 1 << 16  # cells formatted per block in save_matrix
+_BLOCK_CELLS = 1 << 14  # cells per block in save_matrix, the cell check and totals: small beside the cells
+_BLOCK_VECTOR_CELLS = 1 << 13  # cells from_day_vectors holds as int64 before it narrows them
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,20 +65,28 @@ class WordDayMatrix:
         for word ``words[rows[i]]`` on ``days[i]``.  Raises ValueError on a
         broken invariant."""
         matrix = cls(horizon, tuple(words), np.searchsorted(rows, np.arange(len(words) + 1)), days, counts)
-        matrix.validate()  # on the given days: narrowed first, a day past 2^31 would wrap
-        return cls(horizon, matrix.words, matrix.indptr, days.astype(np.int32), counts)
+        matrix.validate()  # on the given cells: narrowed first, a day or count past the narrow type would wrap
+        return cls(horizon, matrix.words, matrix.indptr, days.astype(_typecode(0, horizon - 1)),
+                   counts.astype(_typecode(1, int(counts.max(initial=1)))))
 
     @classmethod
     def from_day_vectors(cls, horizon: int, rows: Iterable[tuple[str, np.ndarray]]) -> "WordDayMatrix":
         """Build from ``(word, length-horizon count vector)`` pairs in word
-        order; all-zero words vanish."""
-        words, lengths, buffers = [], array("q"), [array("i"), array("q")]
+        order; all-zero words vanish.  The cells wait as int64 in a block of
+        about ``_BLOCK_VECTOR_CELLS``, narrowed at once, not word by word."""
+        words, lengths, block = [], array("q"), [array("q"), array("q")]
+        buffers = [array(_typecode(0, horizon - 1)), array("b")]
         for word, x in rows:
             nz = x.nonzero()[0]
             if nz.size:
                 words.append(word)
                 lengths.append(nz.size)
-                _append_cells(buffers, nz, x[nz])
+                for buffer, values in zip(block, (nz, x[nz])):
+                    buffer.frombytes(values.astype(np.int64, copy=False).tobytes())
+                if len(block[0]) >= _BLOCK_VECTOR_CELLS:
+                    _append_cells(buffers, *(np.frombuffer(b, "q") for b in block))
+                    block = [array("q"), array("q")]
+        _append_cells(buffers, *(np.frombuffer(b, "q") for b in block))
         matrix = cls(horizon, tuple(words), _indptr(lengths), *(np.frombuffer(b, b.typecode) for b in buffers))
         matrix.validate()
         return matrix
@@ -85,13 +98,18 @@ class WordDayMatrix:
     def totals(self) -> np.ndarray:
         """Total occurrences of every word, in row order; raises
         :class:`CorpusFormatError` naming a word whose total exceeds 2^63 - 1."""
+        totals = np.zeros(len(self.words), np.int64)
         if not self.words:
-            return np.zeros(0, np.int64)
+            return totals
         if int(self.counts.max()) * int(np.diff(self.indptr).max()) > _INT64_MAX:  # int64 sums may wrap
             over = np.add.reduceat(self.counts.astype(object), self.indptr[:-1]) > _INT64_MAX
             if over.any():
                 raise CorpusFormatError(f"word {self.words[np.argmax(over)]!r}: total count exceeds 2^63 - 1")
-        return np.add.reduceat(self.counts, self.indptr[:-1])
+        rows = max(1, _BLOCK_CELLS // self.horizon)  # per block, so only a block's counts are ever cast to int64
+        for r in range(0, len(self.words), rows):
+            a = self.indptr[r:r + rows + 1]
+            totals[r:r + rows] = np.add.reduceat(self.counts[a[0]:a[-1]], a[:-1] - a[0], dtype=np.int64)
+        return totals
 
     def gaps(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Waiting times of the words in ``rows``: (number of gaps per row, all
@@ -111,7 +129,7 @@ class WordDayMatrix:
         """Only the cells on the ascending ``kept`` days, renumbered 0..len(kept)-1;
         words left without cells disappear.  Beside both matrices it holds one
         renumbered day and one flag per cell, never a row per cell."""
-        new_day = np.full(self.horizon, -1, dtype=np.int32)
+        new_day = np.full(self.horizon, -1, dtype=_typecode(0, len(kept) - 1))
         new_day[np.asarray(kept, dtype=np.intp)] = np.arange(len(kept))
         days = new_day[self.days]
         keep = days >= 0
@@ -119,8 +137,8 @@ class WordDayMatrix:
         days = days[keep]  # every cell's renumbered day is freed before the counts are copied
         counts = self.counts[keep]
         alive = lengths > 0
-        return WordDayMatrix(len(kept), tuple(w for w, a in zip(self.words, alive) if a),
-                             _indptr(lengths[alive]), days, counts)
+        return WordDayMatrix(len(kept), tuple(w for w, a in zip(self.words, alive) if a), _indptr(lengths[alive]),
+                             days, counts.astype(_typecode(1, int(counts.max(initial=1))), copy=False))
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
@@ -159,7 +177,9 @@ class WordDayMatrix:
             prev[1:], prev[0] = days[:-1], self.days[a - 1]
             i, j = np.searchsorted(self.indptr, (a, a + days.size))
             prev[self.indptr[i:j] - a] = -1
-            bad = (days <= prev) | (days >= self.horizon) | (self.counts[a:a + days.size] < 1)
+            bad = days <= prev  # in place from here: one flag array and one operand per block
+            bad |= days >= self.horizon
+            bad |= self.counts[a:a + days.size] < 1
             if bad.any():
                 cell = int(np.argmax(bad))
                 row = int(np.searchsorted(self.indptr, a + cell, side="right")) - 1
@@ -183,14 +203,23 @@ def _indptr(lengths) -> np.ndarray:
     return np.concatenate([np.zeros(1, np.int64), np.cumsum(lengths, dtype=np.int64)])
 
 
+def _typecode(lo: int, hi: int) -> str:
+    """Typecode of the narrowest signed integer type, int8 to int64, that holds every integer in [lo, hi]."""
+    return next(code for code in "bhiq" if np.iinfo(code).min <= lo and hi <= np.iinfo(code).max)
+
+
 def _append_cells(buffers: list[array], days: np.ndarray, counts: np.ndarray) -> None:
     """Append cells to the [days, counts] buffers of a matrix being built, so
-    the cells are held once, not as pieces and then a concatenation.  Days
-    go in as int32 (typecode "i"), as a valid day is below ``MAX_HORIZON`` <
-    2^31, and counts as int64 ("q"); a caller whose days may be larger first
-    widens the days buffer, so such a day is reported, not wrapped."""
-    for buffer, values in zip(buffers, (days, counts)):
-        buffer.frombytes(values.astype(buffer.typecode, copy=False).tobytes())
+    the cells are held once, not as pieces and then a concatenation.  Each
+    buffer keeps its narrow type while the new values fit it; a value that
+    does not first widens the buffer to the narrowest type that holds it,
+    so the value is kept as written (and a day past the horizon reported
+    as such), never wrapped."""
+    for i, values in enumerate((days, counts)):
+        code = _typecode(int(values.min(initial=0)), int(values.max(initial=0)))
+        if array(code).itemsize > buffers[i].itemsize:
+            buffers[i] = array(code, np.frombuffer(buffers[i], buffers[i].typecode).astype(code).tobytes())
+        buffers[i].frombytes(values.astype(buffers[i].typecode, copy=False).tobytes())
 
 
 def save_matrix(matrix: WordDayMatrix, path) -> None:
@@ -226,9 +255,8 @@ def load_matrix(path) -> WordDayMatrix:
     Raises :class:`CorpusFormatError` naming an offending line.
     """
     words: list[str] = []
-    linenos: list[int] = []
+    linenos = array("q")
     lengths = array("q")
-    buffers = [array("i"), array("q")]  # days, counts
     pending: list[tuple[int, str]] = []  # (line number, cells) of the block being read
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -237,6 +265,7 @@ def load_matrix(path) -> WordDayMatrix:
         digits = header[3:].lstrip("0")  # int() refuses more than 4300 digits, leading zeros included
         if not (digits.isascii() and digits.isdigit() and _below_2_63(digits) and 1 <= int(digits) <= MAX_HORIZON):
             raise CorpusFormatError(f"{path}: bad horizon in header {header!r}: not an integer in [1, {MAX_HORIZON}]")
+        buffers = [array(_typecode(0, int(digits) - 1)), array("b")]  # days, counts
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -263,10 +292,11 @@ def load_matrix(path) -> WordDayMatrix:
 
 def _parse_cells(path, lines: list[tuple[int, str]], buffers: list[array]) -> None:
     """Append the cells of (line number, cells) pairs to the [days, counts]
-    buffers.  A block that fails the bulk check, or holds 2^63 - 1 (as the
-    bulk parser reads any larger value), is checked line by line, so the
-    error names its line.  A day past 2^31 - 1 widens the days buffer to
-    int64, so the matrix check reports that day as it is written."""
+    buffers, widening a buffer when a value does not fit its type.  A block
+    that fails the bulk check, or holds 2^63 - 1 (as the bulk parser reads
+    any larger value), is checked line by line, so the error names its
+    line.  A day past ``horizon - 1`` is kept as written, so the matrix
+    check reports it as such."""
     if not lines:
         return
     values = _block_values("\n".join(cells for _, cells in lines).encode(), len(lines))
@@ -275,8 +305,6 @@ def _parse_cells(path, lines: list[tuple[int, str]], buffers: list[array]) -> No
             bad = _bad_cell(cells)
             if bad is not None:
                 raise CorpusFormatError(f"{path}:{lineno}: bad cell {bad!r}")
-    if buffers[0].typecode == "i" and values[0::2].max() > np.iinfo(np.int32).max:
-        buffers[0] = array("q", buffers[0])
     _append_cells(buffers, values[0::2], values[1::2])
 
 

@@ -40,19 +40,23 @@ class WaitingTimeDistribution:
 
     k: int | None
     horizon: int
-    f: np.ndarray  # probability of tau = 1 .. horizon-1
+    f: np.ndarray  # probability of tau = 1 .. the longest gap
     sample_count: int
     counts: np.ndarray  # the integer gap histogram behind f: f = counts / sample_count
 
     @property
     def support(self) -> np.ndarray:
-        return np.arange(1, self.horizon, dtype=np.int64)
+        return np.arange(1, self.f.size + 1, dtype=np.int64)
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.f))
+        return float(np.dot(np.arange(1.0, self.horizon), self._padded_f()))
 
     def second_moment(self) -> float:
-        return float(np.dot(self.support.astype(float) ** 2, self.f))
+        return float(np.dot(np.arange(1.0, self.horizon) ** 2, self._padded_f()))
+
+    def _padded_f(self) -> np.ndarray:
+        # f out to tau = horizon-1 with zeros: a dot groups its sum by its length, so the moments keep their bits
+        return np.pad(self.f, (0, self.horizon - 1 - self.f.size))
 
 
 def distribution_from_sample(taus: np.ndarray, horizon: int, k: int | None = None) -> WaitingTimeDistribution:
@@ -61,7 +65,7 @@ def distribution_from_sample(taus: np.ndarray, horizon: int, k: int | None = Non
         raise EmptySampleError("no waiting times to build a distribution from")
     if taus.min() < 1 or taus.max() > horizon - 1:
         raise ValueError("waiting times must lie in [1, horizon-1]")
-    hist = np.bincount(taus, minlength=horizon)[1:horizon]
+    hist = np.bincount(taus)[1:]
     f = hist / hist.sum()
     return WaitingTimeDistribution(k=k, horizon=horizon, f=f, sample_count=int(taus.size), counts=hist)
 
@@ -90,13 +94,15 @@ def aggregate_distribution(index: EnsembleIndex, matrix: WordDayMatrix) -> Waiti
     hist = sum(np.bincount(matrix.gaps(e.rows)[1], minlength=matrix.horizon)[1:] for e in dilute)
     if not hist.any():
         raise EmptySampleError("sparse classes contain no waiting times")
+    hist = np.trim_zeros(hist, "b")  # through the longest gap, as a class's histogram
     n = int(hist.sum())
     return WaitingTimeDistribution(k=None, horizon=matrix.horizon, f=hist / n, sample_count=n, counts=hist)
 
 
 @dataclass
 class RiskFunction:
-    """Tail sums R(t) = sum_{tau >= t} f(tau) for t = 1 .. horizon-1."""
+    """Tail sums R(t) = sum_{tau >= t} f(tau) for t = 1 .. the longest gap
+    (R is 0 past it)."""
 
     horizon: int
     values: np.ndarray
@@ -104,7 +110,7 @@ class RiskFunction:
 
     @property
     def support(self) -> np.ndarray:
-        return np.arange(1, self.horizon, dtype=np.int64)
+        return np.arange(1, self.values.size + 1, dtype=np.int64)
 
 
 def risk_function(dist: WaitingTimeDistribution) -> RiskFunction:
@@ -138,9 +144,10 @@ def rescaled_survival(dist: WaitingTimeDistribution, k: int | None = None) -> Re
     curve = rescale_time(risk_function(dist), k)
     scale = k / dist.horizon
     t_max = min(int(np.floor(T_R_MAX / scale)), dist.horizon - 2)
-    # values[t] = R(t+1) = P(tau > t) belongs at t_R of day t, which is t_r[t-1]
-    curve.t_r = np.concatenate([[0.0], curve.t_r[:t_max]])
-    curve.values = np.concatenate([[1.0], curve.values[1:t_max + 1]])
+    # values[t] = R(t+1) = P(tau > t) belongs at t_R of day t; R is 0 past the longest gap
+    values = curve.values[1:t_max + 1]
+    curve.t_r = np.arange(t_max + 1, dtype=float) * k / dist.horizon
+    curve.values = np.concatenate([[1.0], values, np.zeros(t_max - values.size)])
     return curve
 
 

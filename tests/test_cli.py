@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -387,6 +388,31 @@ class TestAnalyzeDilute:
         skipped = {"skipped": "no optimizer start converged within its budget"}
         fits.update((k, skipped) for k in fitted)
         assert json.loads((tmp_path / "out" / "fits.json").read_text(encoding="utf-8")) == fits
+
+    def test_long_horizon_tables_follow_the_gaps(self, tmp_path, monkeypatch):
+        """At #T=1000000 a class's horizon-long float64 array alone is 8 MB. Ten words on
+        consecutive days (classes k = 2..11, every gap 1 day) stay far below one per class:
+        each table ends at its class's longest gap."""
+        path = tmp_path / "m.tsv"
+        path.write_text("#T=1000000\n" + "".join(f"w{k:02d}\t" + ",".join(f"{d}:1" for d in range(k)) + "\n"
+                                                for k in range(2, 12)), encoding="utf-8")
+        real, peaks = cli._dilute_tables, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return real(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_dilute_tables", traced)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # no fit worker
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--mode", "dilute", "--output", str(out)]) == EXIT_OK
+        assert [int(r["k"]) for r in read_csv(out / "meancheck.csv")] == list(range(2, 12))
+        assert read_csv(out / "aggregate.csv") == [{"tau": "1", "f": "1", "R": "1"}]
+        assert peaks[0] < 40 * 2**20
 
     @staticmethod
     def reference_fits(path) -> dict:

@@ -27,6 +27,11 @@ from wordburst.matrix import WordDayMatrix, load_matrix, save_matrix
 from conftest import build_matrix, series
 
 
+def narrowest(largest: int) -> type:
+    """The narrowest of int8, int16, int32 and int64 whose range reaches ``largest``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
+
+
 class TestTokenize:
     def test_punctuation_and_case(self):
         assert tokenize("The cat, the hat!") == ["the", "cat", "the", "hat"]
@@ -215,7 +220,7 @@ class TestMatrixConstruction:
         *((3, {w: {0: 1}}, f"word {w!r}: holds a surrogate, which UTF-8 cannot encode")
           for w in ["a\ud800", "\u00e9\udfff", "\ud83d\ude00"]),
         (10**7 + 1, {}, "horizon must be <= 10000000"),
-        (5, {"w": {2**32: 1}}, "word 'w': day 4294967296 outside horizon"),  # as int32, day 0
+        (5, {"w": {2**32: 1}}, "word 'w': day 4294967296 outside horizon"),  # narrowed unchecked, day 0
     ])
     def test_from_mapping_rejects_broken_invariant(self, horizon, counts, message):
         with pytest.raises(ValueError) as err:  # from_sorted_cells checks the int64 cells before it narrows the days
@@ -249,8 +254,10 @@ class TestMatrixConstruction:
         rows = [(f"w{i}", np.array(v, dtype)) for i, v in enumerate(vectors)]
         m = WordDayMatrix.from_day_vectors(horizon, rows)
         assert m == build_matrix({w: {d: int(c) for d, c in enumerate(x) if c} for w, x in rows if x.any()}, horizon)
-        # a day is below MAX_HORIZON < 2^31, so days are int32; cell offsets and counts are int64
-        assert (m.indptr.dtype, m.days.dtype, m.counts.dtype) == (np.int64, np.int32, np.int64)
+        # days take the narrowest signed type that holds horizon - 1, counts the narrowest that
+        # holds the largest count; cell offsets are int64
+        largest = max((int(c) for _, x in rows for c in x), default=0)
+        assert (m.indptr.dtype, m.days.dtype, m.counts.dtype) == (np.int64, narrowest(horizon - 1), narrowest(largest))
         assert not any(a.flags.writeable for a in (m.indptr, m.days, m.counts))
 
 
@@ -271,30 +278,35 @@ class TestMatrixSerialization:
         assert words == sorted(words)
 
     @pytest.mark.parametrize(
-        "content",
-        [
-            "no header\n",
-            "#T=5\nw\t9:1\n",          # day outside horizon
-            "#T=5\nw\t1:0\n",          # zero count
-            "#T=5\nw\t2:1,1:1\n",      # days not ascending
-            "#T=5\nw\t1:1\nw\t2:1\n",  # duplicate word
-            "#T=x\n",
-            "#T=0\n",                  # empty horizon
-            "#T=5\nw\t1:1\nv\t2:1\n",  # words not sorted
-            "#T=5\nw\t1:1:1\n",       # malformed cell
-            "#T=5\nw\t1:99999999999999999999\n",  # count beyond 64 bits
-            "#T=5\nw\t2147483648:1\n",  # day 2^31
-            "#T=5\nw\t4294967296:1\n",  # day 2^32, 0 if narrowed to int32
+        "content, message",
+        [pytest.param(content, message, id=content) for content, message in [
+            ("no header\n", ": missing #T= header line"),
+            ("#T=5\nw\t9:1\n", ":2: day 9 outside horizon"),
+            ("#T=5\nw\t1:0\n", ":2: count 0 < 1"),
+            ("#T=5\nw\t2:1,1:1\n", ":2: days not ascending"),
+            ("#T=5\nw\t1:1\nw\t2:1\n", ":3: duplicate word"),
+            ("#T=x\n", ": bad horizon in header '#T=x': not an integer in [1, 10000000]"),
+            ("#T=0\n", ": bad horizon in header '#T=0': not an integer in [1, 10000000]"),  # empty horizon
+            ("#T=5\nw\t1:1\nv\t2:1\n", ":3: words not sorted"),
+            ("#T=5\nw\t1:1:1\n", ":2: bad cell '1:1:1'"),  # malformed cell
+            ("#T=5\nw\t1:99999999999999999999\n", ":2: bad cell '1:99999999999999999999'"),  # beyond 64 bits
+            ("#T=5\nw\t2147483648:1\n", ":2: day 2147483648 outside horizon"),  # day 2^31
+            ("#T=5\nw\t4294967296:1\n", ":2: day 4294967296 outside horizon"),  # day 2^32, 0 if narrowed unchecked
             # the horizon takes the digits of days and counts, and no more days than any matrix may have
-            *(f"#T={horizon}\nw\t0:1\n" for horizon in ["+5", " 5", "1_0", "\u0663", "10000001"]),
-            pytest.param("#T=" + "9" * 5000 + "\n", id="#T=5000 digits"),  # past int()'s default digit limit
+            *((f"#T={horizon}\nw\t0:1\n", f": bad horizon in header '#T={horizon}': not an integer in [1, 10000000]")
+              for horizon in ["+5", " 5", "1_0", "\u0663", "10000001"]),
+        ]] + [
+            pytest.param("#T=" + "9" * 5000 + "\n",  # past int()'s default digit limit
+                         f": bad horizon in header '#T={'9' * 5000}': not an integer in [1, 10000000]",
+                         id="#T=5000 digits"),
         ],
     )
-    def test_rejects_malformed(self, tmp_path, content):
+    def test_rejects_malformed(self, tmp_path, content, message):
         path = tmp_path / "bad.tsv"
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(CorpusFormatError) as err:
             load_matrix(path)
+        assert str(err.value) == f"{path}{message}"
 
     def test_day_order_is_checked_across_cell_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matrix_module, "_BLOCK_CELLS", 4)
@@ -388,12 +400,79 @@ class TestMatrixSerialization:
         assert str(err.value) == f"{path}:8002: bad cell {bad!r}"
 
 
-class TestMatrixMemory:
-    """A matrix being built holds its cells once: peak traced memory stays
-    near the final ``days`` + ``counts`` bytes, not twice them."""
+class TestNarrowTypes:
+    """Days take the narrowest signed type that holds horizon - 1 and counts the
+    narrowest that holds the largest count.  At each type's edges every
+    constructor picks that type, and no value wraps on the way in or out."""
 
     @staticmethod
-    def _peak_over_cells(build) -> float:
+    def wide(counts: dict[str, dict[int, int]], horizon: int) -> WordDayMatrix:
+        """The matrix of ``{word: {day: count}}`` in int64 arrays, built field by field."""
+        words = sorted(counts)
+        days, values = (np.array(column, np.int64) for column in
+                        zip(*(cell for w in words for cell in sorted(counts[w].items()))))
+        return WordDayMatrix(horizon, tuple(words), np.cumsum([0] + [len(counts[w]) for w in words]), days, values)
+
+    @staticmethod
+    def vectors(counts: dict[str, dict[int, int]], length: int):
+        for word in sorted(counts):
+            x = np.zeros(length, np.int64)
+            x[list(counts[word])] = list(counts[word].values())
+            yield word, x
+
+    @pytest.mark.parametrize("horizon", [128, 129, 32768, 32769])
+    @pytest.mark.parametrize("largest", [127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**63 - 1])
+    def test_type_edges(self, tmp_path, horizon, largest):
+        last = horizon - 1
+        counts = {"a": {0: largest}, "b": {1: 1, last: largest - 1}, "c": {last: 1}}
+        path = tmp_path / "m.tsv"
+        path.write_text(_reference_tsv(self.wide(counts, horizon)), encoding="utf-8")
+        # one more day, whose only cell (the largest count) keep_days drops
+        longer = build_matrix(counts | {"d": {horizon: 2**63 - 1}}, horizon + 1)
+        for m in (build_matrix(counts, horizon), WordDayMatrix.from_day_vectors(horizon, self.vectors(counts, horizon)),
+                  load_matrix(path), longer.keep_days(range(horizon))):
+            assert m == self.wide(counts, horizon)
+            assert (m.days.dtype, m.counts.dtype) == (narrowest(horizon - 1), narrowest(largest))
+            assert m.totals().tolist() == [sum(counts[w].values()) for w in sorted(counts)]
+            save_matrix(m, path)
+            assert path.read_text(encoding="utf-8") == _reference_tsv(self.wide(counts, horizon))
+            again = load_matrix(path)
+            assert again == m and (again.days.dtype, again.counts.dtype) == (m.days.dtype, m.counts.dtype)
+
+    def test_widening_keeps_the_cells_before_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matrix_module, "_BLOCK_LINES", 2)
+        monkeypatch.setattr(matrix_module, "_BLOCK_VECTOR_CELLS", 2)
+        values = [1, 127, 128, 5, 32768, 2**31, 3, 2**63 - 1, 2]
+        counts = {f"w{i}": {i % 7: c} for i, c in enumerate(values)}
+        path = tmp_path / "m.tsv"
+        path.write_text(_reference_tsv(self.wide(counts, 7)), encoding="utf-8")
+        for m in (load_matrix(path), WordDayMatrix.from_day_vectors(7, self.vectors(counts, 7))):
+            assert m == self.wide(counts, 7) and m.counts.dtype == np.int64
+            assert m.totals().tolist() == values
+
+    @pytest.mark.parametrize("horizon, day", [(214, 40000), (100, 200)])  # past int16, past int8
+    def test_day_past_the_narrow_type_is_named_as_written(self, tmp_path, horizon, day):
+        counts = {"a": {0: 1}, "w": {5: 3, day: 1}}
+        path = tmp_path / "m.tsv"
+        path.write_text(f"#T={horizon}\na\t0:1\nw\t5:3,{day}:1\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:3: day {day} outside horizon"
+        for build in (lambda: build_matrix(counts, horizon),
+                      lambda: WordDayMatrix.from_day_vectors(horizon, self.vectors(counts, day + 1))):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"word 'w': day {day} outside horizon"
+
+
+class TestMatrixMemory:
+    """A matrix being built holds its cells once, each in narrow types: the
+    peak traced memory per cell stays near the final ``days`` + ``counts``
+    bytes, not twice them, and far below the 12-byte cell of an int32 day
+    and an int64 count."""
+
+    @staticmethod
+    def _peak_per_cell(build) -> float:
         build()  # lazy imports happen outside the traced run
         tracemalloc.start()
         try:
@@ -401,7 +480,8 @@ class TestMatrixMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / (m.days.nbytes + m.counts.nbytes)
+        assert (m.days.dtype, m.counts.dtype) == (np.int16, np.int8)  # 3 bytes a cell
+        return peak / m.days.size
 
     @staticmethod
     def _poisson_words(n_words: int, horizon: int):
@@ -409,14 +489,17 @@ class TestMatrixMemory:
         return ((f"w{i:05d}", rng.poisson(0.5, horizon)) for i in range(n_words))
 
     def test_from_day_vectors(self):
-        ratio = self._peak_over_cells(lambda: WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)))
-        assert ratio <= 1.6
+        per_cell = self._peak_per_cell(lambda: WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)))
+        assert per_cell <= 1.6 * 12  # the bound of the 12-byte cell layout, in bytes
+        assert per_cell <= 6
 
     def test_load_matrix(self, tmp_path, monkeypatch):
         path = tmp_path / "m.tsv"
         save_matrix(WordDayMatrix.from_day_vectors(214, self._poisson_words(3000, 214)), path)
         monkeypatch.setattr(matrix_module, "_BLOCK_LINES", 64)
-        assert self._peak_over_cells(lambda: load_matrix(path)) <= 1.6
+        per_cell = self._peak_per_cell(lambda: load_matrix(path))
+        assert per_cell <= 1.6 * 12  # the bound of the 12-byte cell layout, in bytes
+        assert per_cell <= 6
 
     def test_validate_holds_no_cell_sized_temporary(self):
         """The invariants are checked a block of cells at a time."""
@@ -430,6 +513,20 @@ class TestMatrixMemory:
         finally:
             tracemalloc.stop()
         assert peak < m.days.size
+
+    def test_totals_holds_no_cell_sized_temporary(self):
+        """Narrow counts are summed in int64 a block of rows at a time, never cast to int64 all at once."""
+        m = WordDayMatrix.from_day_vectors(1000, self._poisson_words(3000, 1000))
+        assert m.counts.dtype == np.int8 and m.days.size >= 2**20
+        m.totals()
+        tracemalloc.start()
+        try:
+            totals = m.totals()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert totals.dtype == np.int64
+        assert peak < totals.nbytes + m.days.size
 
 
 class TestReaderMemory:

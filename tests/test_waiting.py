@@ -151,7 +151,11 @@ class TestAggregateMixing:
             [m.gaps(index[k].rows)[1] for k in index.ks() if k < m.horizon]
         )
         np.testing.assert_allclose(agg.f, distribution_from_sample(pooled, m.horizon).f)
-        np.testing.assert_array_equal(agg.counts, np.bincount(pooled, minlength=m.horizon)[1:])
+        # the histogram ends at the longest gap: the horizon-long one holds only zeros past it
+        reference = np.bincount(pooled, minlength=m.horizon)[1:]
+        assert agg.counts.size == pooled.max() < m.horizon - 1
+        np.testing.assert_array_equal(agg.counts, reference[:agg.counts.size])
+        assert not reference[agg.counts.size:].any()
         assert agg.counts.sum() == agg.sample_count
         np.testing.assert_array_equal(agg.f, agg.counts / agg.sample_count)
 
@@ -185,7 +189,11 @@ class TestRiskFunction:
         )
         risk = risk_function(dist)
         expected = np.power(1 - p, np.arange(0, 99))
-        np.testing.assert_allclose(risk.values[:99], expected, atol=5e-7)
+        # R ends at the longest gap (44 days; the tail's rounded counts are 0) and is 0 past it
+        n = risk.values.size
+        assert n == dist.f.size == 44
+        np.testing.assert_allclose(risk.values, expected[:n], atol=5e-7)
+        np.testing.assert_allclose(expected[n:], 0.0, atol=5e-7)
 
     def test_starts_at_one_and_recovers_f(self):
         rng = np.random.default_rng(2)
