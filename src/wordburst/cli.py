@@ -21,30 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dense import (
-    BIN_WIDTH,
-    WINDOW,
-    matched_poisson_null,
-    pool_rescaled,
-    sigma_scaling,
-    write_sigma_scaling_csv,
-    write_xtilde_csv,
-)
-from .ensembles import build_ensembles, select_dense, select_dilute, write_spectrum_csv
+from .dense import BIN_WIDTH, WINDOW, matched_poisson_null, pool_rescaled, sigma_scaling
+from .ensembles import build_ensembles, select_dense, select_dilute
 from .errors import EmptySampleError, FitDidNotConverge, WordburstError
 from .fileio import write_json, write_table
 from .ingest import CleaningReport, ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
 from .matrix import load_matrix, save_matrix
 from .nullmodels import SyntheticCorpusSpec, generate
-from .rankstats import (
-    fit_modified_power_law,
-    fit_report_json,
-    fit_zipf,
-    fit_zipf_mandelbrot,
-    rank_curve,
-    rank_table,
-    write_rank_csv,
-)
+from .rankstats import fit_modified_power_law, fit_report_json, fit_zipf, fit_zipf_mandelbrot, rank_curve
 from .waiting import (
     aggregate_distribution,
     ensemble_distribution,
@@ -54,9 +38,6 @@ from .waiting import (
     rescale_time,
     risk_function,
     risk_rows,
-    write_distribution_csv,
-    write_rescaled_csv,
-    write_zeta_csv,
     zeta_by_ensemble,
 )
 
@@ -164,10 +145,11 @@ def _analyze_rank(path, out, args) -> None:
     fit = fit_modified_power_law(curve)
     zipf = fit_zipf(curve)
     zm = fit_zipf_mandelbrot(curve)
-    write_rank_csv(out("rank.csv"), curve, fit)
+    columns = curve.ranks, curve.counts, fit.predict(curve.ranks)
+    write_table(out("rank.csv"), ["rank", "count", "fitted"], zip(*columns))
     write_json(out("fit.json"), fit_report_json(fit, zipf, zm))
     if args.emit_plots:
-        write_table(out("plot_rank.csv"), *rank_table(curve, fit), plot=True)
+        write_table(out("plot_rank.csv"), ["rank", "count", "fitted"], zip(*columns), plot=True)
 
 
 def _analyze_dilute(path, out, args) -> None:
@@ -196,13 +178,19 @@ def _dilute_tables(matrix, out, args, pool) -> tuple[dict, dict]:
         classes.append((ens.k, dist, risk_function(dist)))
     queue = {str(k): risk for k, _, risk in classes}
     futures = {key: pool.submit(_fit_record, risk) for key, risk in queue.items()} if pool else {}
-    write_distribution_csv(out("waiting.csv"), classes)
+    write_table(out("waiting.csv"), ["k", "tau", "f", "R"],
+                ((k, *row) for k, dist, risk in classes for row in risk_rows(dist, risk)))
     rescaled = [rescale_time(risk, k) for k, _, risk in classes]
-    write_rescaled_csv(out("rescaled.csv"), rescaled)
+
+    def points():  # the (k, t_R, R) rows of rescaled.csv and plot_rescaled.csv: R > 0 only
+        return ((c.k, t, v) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0)
+    write_table(out("rescaled.csv"), ["k", "t_R", "R"], points())
     rows = zeta_by_ensemble(selected, matrix, seed=args.seed)
-    write_zeta_csv(out("zeta.csv"), rows)
-    _write_meancheck_csv(out("meancheck.csv"), [mean_waiting_check(dist) for _, dist, _ in classes])
-    write_spectrum_csv(index, out("spectrum.csv"))
+    write_table(out("zeta.csv"), ["k", "zeta", "zeta_err", "n_k"], ((r.k, r.zeta, r.zeta_err, r.n_k) for r in rows))
+    checks = [mean_waiting_check(dist) for _, dist, _ in classes]
+    write_table(out("meancheck.csv"), ["k", "mean_tau", "expected", "deviation", "sample_count", "low_sample"],
+                ((c.k, c.mean_tau, c.expected, c.deviation, c.sample_count, int(c.low_sample)) for c in checks))
+    write_table(out("spectrum.csv"), ["k", "n_k"], ((k, index[k].n_k) for k in index.ks()))
     try:
         agg = aggregate_distribution(index, matrix)
         queue["aggregate"] = risk_function(agg)
@@ -212,8 +200,7 @@ def _dilute_tables(matrix, out, args, pool) -> tuple[dict, dict]:
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
     if args.emit_plots:
-        write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"],
-                    ((t, v, c.k) for c in rescaled for t, v in zip(c.t_r, c.values) if v > 0), plot=True)
+        write_table(out("plot_rescaled.csv"), ["t_R", "R", "k"], ((t, v, k) for k, t, v in points()), plot=True)
     return queue, futures
 
 
@@ -238,8 +225,7 @@ def _fit_pool():
     import multiprocessing
     import signal
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), __import__,
-                               ("scipy", None, None, ("special", "linalg")))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _fit_worker)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
     try:
         pool.submit(int)  # forks every worker now; each keeps SIGINT blocked
@@ -254,6 +240,17 @@ def _fit_pool():
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pool.shutdown(cancel_futures=True)
+
+
+def _fit_worker() -> None:
+    """Each fit worker's initializer: exit at once when the command's process is gone, then preload the scipy
+    modules the fits import.  Only that process and the workers forked after this one hold the write end of
+    this worker's parent sentinel, so its read end sees end-of-file once they are all gone, however they died."""
+    import multiprocessing.connection
+    import threading
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: (multiprocessing.connection.wait([sentinel]), os._exit(1)), daemon=True).start()
+    __import__("scipy", None, None, ("special", "linalg"))
 
 
 def _analyze_dense(path, out, args) -> None:
@@ -275,16 +272,17 @@ def _analyze_dense(path, out, args) -> None:
         null = matched_poisson_null(selected, matrix.horizon, args.seed)
         try:
             table = sigma_scaling(index, matrix)
-            write_sigma_scaling_csv(out("sigma_scaling.csv"), table)
+            write_table(out("sigma_scaling.csv"), ["k", "n_words", "sigma_rel", "sigma_abs"],
+                        ((r.k, r.n_words, r.sigma_rel, r.sigma_abs) for r in table.rows))
             sidecar["sigma_exponent_rel"] = table.exponent_rel
             sidecar["sigma_exponent_abs"] = table.exponent_abs
         except ValueError as exc:
             sidecar["sigma_scaling_skipped"] = str(exc)
-    write_xtilde_csv(out("xtilde.csv"), empirical, null)
+    columns = empirical.bin_centers, empirical.density, null.density
+    write_table(out("xtilde.csv"), ["xtilde", "density_empirical", "density_null"], zip(*columns))
     write_json(out("dense.json"), sidecar)
     if args.emit_plots:
-        write_table(out("plot_xtilde.csv"), ["xtilde", "empirical", "null"],
-                    zip(empirical.bin_centers, empirical.density, null.density), plot=True)
+        write_table(out("plot_xtilde.csv"), ["xtilde", "empirical", "null"], zip(*columns), plot=True)
 
 
 def cmd_simulate(args) -> int:
@@ -349,11 +347,6 @@ def _write_manifest(out: _Outputs, command: str, config: dict) -> None:
         "config": config,
         "outputs": sorted(out.names),
     })
-
-
-def _write_meancheck_csv(path, checks) -> None:
-    write_table(path, ["k", "mean_tau", "expected", "deviation", "sample_count", "low_sample"],
-                ((c.k, c.mean_tau, c.expected, c.deviation, c.sample_count, int(c.low_sample)) for c in checks))
 
 
 if __name__ == "__main__":

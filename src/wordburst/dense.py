@@ -20,7 +20,6 @@ from itertools import islice
 import numpy as np
 
 from .ensembles import Ensemble, EnsembleIndex
-from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substreams
 
@@ -151,15 +150,3 @@ def sigma_scaling(index: EnsembleIndex, matrix: WordDayMatrix) -> SigmaScalingTa
     exponent_rel = float(np.polyfit(lk, np.log([r.sigma_rel for r in rows]), 1)[0])
     exponent_abs = float(np.polyfit(lk, np.log([r.sigma_abs for r in rows]), 1)[0])
     return SigmaScalingTable(rows=rows, exponent_rel=exponent_rel, exponent_abs=exponent_abs)
-
-
-def write_xtilde_csv(path, empirical: RescaledCountDistribution,
-                     null: RescaledCountDistribution) -> None:
-    """Write ``xtilde,density_empirical,density_null`` on the shared grid."""
-    write_table(path, ["xtilde", "density_empirical", "density_null"],
-                zip(empirical.bin_centers, empirical.density, null.density))
-
-
-def write_sigma_scaling_csv(path, table: SigmaScalingTable) -> None:
-    write_table(path, ["k", "n_words", "sigma_rel", "sigma_abs"],
-                ((r.k, r.n_words, r.sigma_rel, r.sigma_abs) for r in table.rows))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_table
 from .matrix import WordDayMatrix
 
 
@@ -64,8 +63,3 @@ def select_dense(index: EnsembleIndex, k_lo: int, k_hi: int) -> list[Ensemble]:
     if k_lo > k_hi:
         raise ValueError(f"empty range: k_lo {k_lo} > k_hi {k_hi}")
     return [index.by_k[k] for k in index.ks() if k_lo <= k <= k_hi]
-
-
-def write_spectrum_csv(index: EnsembleIndex, path) -> None:
-    """Dump the class-size spectrum as ``k,n_k`` rows."""
-    write_table(path, ["k", "n_k"], ((k, index.by_k[k].n_k) for k in index.ks()))

@@ -18,7 +18,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EmptyCorpusError, FitDidNotConverge
-from .fileio import write_table
 from .matrix import WordDayMatrix
 
 MAX_FIT_POINTS = 500
@@ -228,15 +227,6 @@ def fit_zipf_mandelbrot(curve: RankCurve) -> BaselineFit:
     return BaselineFit(A=float(np.exp(np.mean(log_y + log_denominator(best.x)))),
                        lam=None, a=float(np.exp(la)), nu=float(nu),
                        residual=float(np.sqrt(best.fun / xs.size)))
-
-
-def rank_table(curve: RankCurve, fit: ModifiedPowerLawFit):
-    """Column names and ``(rank, count, fitted)`` rows of the rank curve."""
-    return ["rank", "count", "fitted"], zip(curve.ranks, curve.counts, fit.predict(curve.ranks))
-
-
-def write_rank_csv(path, curve: RankCurve, fit: ModifiedPowerLawFit) -> None:
-    write_table(path, *rank_table(curve, fit))
 
 
 def fit_report_json(fit: ModifiedPowerLawFit, zipf: BaselineFit, zm: BaselineFit) -> dict:

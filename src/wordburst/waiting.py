@@ -25,7 +25,6 @@ import numpy as np
 from . import stretched
 from .ensembles import Ensemble, EnsembleIndex, select_dilute
 from .errors import EmptySampleError, FitDidNotConverge
-from .fileio import write_table
 from .matrix import WordDayMatrix
 from .seeding import substream
 
@@ -90,11 +89,14 @@ def aggregate_distribution(index: EnsembleIndex, matrix: WordDayMatrix) -> Waiti
     dilute = select_dilute(index)
     if not dilute:
         raise EmptySampleError("no sparse classes to aggregate")
-    # class by class, so the gaps of every sparse word are never held at once
-    hist = sum(np.bincount(matrix.gaps(e.rows)[1], minlength=matrix.horizon)[1:] for e in dilute)
+    hist = np.zeros(1, dtype=np.int64)  # tau = 0 .. the longest gap so far, as a class's histogram
+    for e in dilute:  # class by class, so the gaps of every sparse word are never held at once
+        counts = np.bincount(matrix.gaps(e.rows)[1], minlength=hist.size)
+        counts[:hist.size] += hist
+        hist = counts
+    hist = hist[1:]
     if not hist.any():
         raise EmptySampleError("sparse classes contain no waiting times")
-    hist = np.trim_zeros(hist, "b")  # through the longest gap, as a class's histogram
     n = int(hist.sum())
     return WaitingTimeDistribution(k=None, horizon=matrix.horizon, f=hist / n, sample_count=n, counts=hist)
 
@@ -553,18 +555,3 @@ def log_binned_density(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 def risk_rows(dist: WaitingTimeDistribution, risk: RiskFunction):
     """``(tau, f, R)`` for every tau with nonzero probability."""
     return ((tau, f, r) for tau, f, r in zip(dist.support, dist.f, risk.values) if f > 0)
-
-
-def write_distribution_csv(path, entries: list[tuple[int, WaitingTimeDistribution, RiskFunction]]) -> None:
-    """Write ``k,tau,f,R`` rows (tau rows with zero probability omitted)."""
-    write_table(path, ["k", "tau", "f", "R"],
-                ((k, *row) for k, dist, risk in entries for row in risk_rows(dist, risk)))
-
-
-def write_zeta_csv(path, rows: list[ZetaRow]) -> None:
-    write_table(path, ["k", "zeta", "zeta_err", "n_k"], ((r.k, r.zeta, r.zeta_err, r.n_k) for r in rows))
-
-
-def write_rescaled_csv(path, curves: list[RescaledRiskCurve]) -> None:
-    write_table(path, ["k", "t_R", "R"],
-                ((c.k, t_r, v) for c in curves for t_r, v in zip(c.t_r, c.values) if v > 0))

@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -451,14 +452,15 @@ class TestAnalyzeDilute:
         else:
             assert reference == {}
         write_json(tmp_path / "reference.json", reference)
-        real_table, real_fit, parent = cli.write_distribution_csv, cli.fit_stretched_exponential, os.getpid()
+        real_table, real_fit, parent = cli.write_table, cli.fit_stretched_exponential, os.getpid()
         outputs = {}
         for cpus, workers in ((1, 0), (3, 2), (6, 3)):
             seen, parent_fits = [], []
 
-            def write_distribution_csv(*args):  # runs while the pool is open
-                seen.append(len(multiprocessing.active_children()))
-                return real_table(*args)
+            def write_table(path, *args, **kwargs):  # waiting.csv is written while the pool is open
+                if path.name == "waiting.csv":
+                    seen.append(len(multiprocessing.active_children()))
+                return real_table(path, *args, **kwargs)
 
             def fit_stretched_exponential(risk):  # the forked workers inherit it, but append to their own copy
                 parent_fits.append(os.getpid() == parent)
@@ -466,7 +468,7 @@ class TestAnalyzeDilute:
 
             with monkeypatch.context() as m:
                 m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-                m.setattr(cli, "write_distribution_csv", write_distribution_csv)
+                m.setattr(cli, "write_table", write_table)
                 m.setattr(cli, "fit_stretched_exponential", fit_stretched_exponential)
                 out = tmp_path / f"out-{cpus}"
                 assert main(["analyze", "--input", str(path), "--mode", "dilute", "--output", str(out)]) == EXIT_OK
@@ -852,7 +854,7 @@ class TestFailedRun:
         out = tmp_path / "out"
         out.mkdir()
         (out / "notes.txt").write_text("kept", encoding="utf-8")
-        self.patch_writers(monkeypatch, [], ("write_zeta_csv", 0), KeyboardInterrupt)
+        self.patch_writers(monkeypatch, [], ("write_table", 2), KeyboardInterrupt)  # zeta.csv, the pool open
         with pytest.raises(KeyboardInterrupt):
             main(argvs["dilute"] + ["--output", str(out)])
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
@@ -893,6 +895,44 @@ class TestFailedRun:
         assert not (tmp_path / "out" / "waiting.csv").exists()
         with pytest.raises(ProcessLookupError):  # the child's own process group is empty
             os.killpg(proc.pid, 0)
+
+    @pytest.mark.parametrize("name", ["SIGKILL", "SIGTERM"])
+    def test_no_fit_worker_outlives_its_command(self, tmp_path, command_argv, name):
+        """A command killed by a signal sent to its PID alone, as by the OOM killer or a job scheduler,
+        runs no signal handler; each of its three workers, importing scipy or not, exits within seconds.
+        Nothing reaps an orphan where PID 1 does not, so a worker in state Z has exited."""
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("reads process states through /proc")
+        _, argvs, signum = *command_argv, getattr(signal, name)
+        code = ("import multiprocessing, os, signal, sys\nimport wordburst.cli as cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+                "def load_matrix(path):\n"  # the workers exist; each may still be importing scipy
+                "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+                f"    os.kill(os.getpid(), {int(signum)})\n    signal.pause()\n"
+                "cli.load_matrix = load_matrix\nsys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+
+        def running(pid) -> bool:
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")  # exited, or being reaped
+
+        with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as err:
+            proc = subprocess.Popen([sys.executable, "-c", code, *argvs["dilute"], "--output", str(tmp_path / "out")],
+                                    stdout=subprocess.PIPE, stderr=err, text=True,
+                                    env={**os.environ, "PYTHONPATH": src})
+        with proc, contextlib.ExitStack() as stack:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            for pid in workers:  # whatever the outcome, no worker outlives the test
+                stack.callback(lambda pid=pid: running(pid) and os.kill(pid, signal.SIGKILL))
+            assert proc.wait(timeout=60) == -signum
+            assert len(workers) == 3, (tmp_path / "stderr.txt").read_text(encoding="utf-8")
+            deadline = time.monotonic() + 5
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if running(pid)] == []
 
     def test_failed_load_stops_idle_fit_workers(self, tmp_path, capsys, monkeypatch):
         """A worker still importing scipy is terminated, not waited for, when the command fails."""
@@ -1057,18 +1097,30 @@ def test_dilute_run_does_not_import_scipy_optimize(tmp_path, command_argv):
 
 
 def test_fit_workers_preload_only_what_the_fits_import(tmp_path, monkeypatch, command_argv):
+    """A worker forked by ``_fit_worker``'s pool holds exactly the scipy modules that importing
+    scipy.special and scipy.linalg loads, and its parent none of them until it imports those itself."""
     from concurrent.futures import process
 
     initializers = []
 
     class Recorded(process.ProcessPoolExecutor):
-        def __init__(self, workers, context, initializer, initargs):
-            initializers.append((initializer, initargs))
-            super().__init__(workers, context, initializer, initargs)
+        def __init__(self, workers, context, initializer):
+            initializers.append(initializer)
+            super().__init__(workers, context, initializer)
 
     monkeypatch.setattr(process, "ProcessPoolExecutor", Recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(command_argv[1]["dilute"] + ["--output", str(tmp_path / "out")]) == EXIT_OK
-    [(initializer, (package, _, _, names))] = initializers
-    assert initializer is builtins.__import__
-    assert sorted(f"{package}.{name}" for name in names) == ["scipy.linalg", "scipy.special"]
+    assert initializers == [cli._fit_worker]
+    code = ("import json, multiprocessing, sys\nfrom concurrent.futures import ProcessPoolExecutor\n"
+            "import wordburst.cli as cli\n"
+            "def scipy_modules():\n    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "with ProcessPoolExecutor(1, multiprocessing.get_context('fork'), cli._fit_worker) as pool:\n"
+            "    before, worker = scipy_modules(), pool.submit(scipy_modules).result()\n"
+            "import scipy.special, scipy.linalg\nprint(json.dumps([before, worker, scipy_modules()]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    before, worker, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert before == [] and {"scipy.linalg", "scipy.special"} <= set(worker)
+    assert worker == imported

@@ -4,14 +4,10 @@ import pytest
 from scipy import stats
 
 from wordburst import dense
-from wordburst.dense import (
-    BIN_WIDTH,
-    matched_poisson_null,
-    pool_rescaled,
-    sigma_scaling,
-    write_xtilde_csv,
-)
+from wordburst.cli import EXIT_OK, main
+from wordburst.dense import BIN_WIDTH, matched_poisson_null, pool_rescaled, sigma_scaling
 from wordburst.ensembles import build_ensembles, select_dense
+from wordburst.matrix import save_matrix
 
 from conftest import box_null, build_matrix, burst_matrix, union
 
@@ -239,8 +235,9 @@ class TestSigmaScaling:
 class TestCsv:
     def test_written_columns(self, tmp_path):
         m = box_null([1200] * 50, 214, seed=32)
-        pooled = pool_rescaled(in_range(m, 1000, 2000), m)
-        path = tmp_path / "xtilde.csv"
-        write_xtilde_csv(path, pooled, pooled)
-        header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "xtilde,density_empirical,density_null"
+        save_matrix(m, tmp_path / "m.tsv")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "dense", "--output", str(out)]) == EXIT_OK
+        lines = (out / "xtilde.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "xtilde,density_empirical,density_null"
+        assert len(lines) == 1 + pool_rescaled(in_range(m, 1000, 2000), m).density.size

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from wordburst.ensembles import build_ensembles, select_dense, select_dilute, write_spectrum_csv
+from wordburst.cli import EXIT_OK, main
+from wordburst.ensembles import build_ensembles, select_dense, select_dilute
+from wordburst.matrix import save_matrix
 
 from conftest import build_matrix
 
@@ -82,8 +84,9 @@ def test_select_dense_rejects_inverted_range(tiny_matrix):
 
 def test_spectrum_csv(tmp_path, tiny_matrix):
     index = build_ensembles(tiny_matrix)
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(index, path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    save_matrix(tiny_matrix, tmp_path / "m.tsv")
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "dilute", "--output", str(out)]) == EXIT_OK
+    lines = (out / "spectrum.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "k,n_k"
     assert len(lines) == 1 + len(index.ks())

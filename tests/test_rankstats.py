@@ -4,15 +4,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wordburst import rankstats
+from wordburst.cli import EXIT_OK, main
 from wordburst.errors import EmptyCorpusError, FitDidNotConverge
 from wordburst.ingest import bin_daily
+from wordburst.matrix import save_matrix
 from wordburst.rankstats import (
     RankCurve,
     fit_modified_power_law,
     fit_zipf,
     fit_zipf_mandelbrot,
     rank_curve,
-    write_rank_csv,
 )
 
 from conftest import build_matrix
@@ -171,11 +172,10 @@ class TestBaselines:
 
 
 def test_rank_csv(tmp_path):
-    curve = curve_from_model(200)
-    fit = fit_modified_power_law(curve)
-    path = tmp_path / "rank.csv"
-    write_rank_csv(path, curve, fit)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    save_matrix(build_matrix({f"w{k:03d}": {0: k} for k in range(1, 201)}, horizon=5), tmp_path / "m.tsv")
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(tmp_path / "m.tsv"), "--mode", "rank", "--output", str(out)]) == EXIT_OK
+    lines = (out / "rank.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "rank,count,fitted"
     assert len(lines) == 201
 

@@ -31,3 +31,14 @@ def test_every_import_is_used():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - used == set(), name
+
+
+def test_only_the_cli_and_the_matrix_codec_write_files():
+    """The analysis modules compute and return data: ``cli.py`` writes every table and JSON
+    output, ``matrix.py`` its own format, and no other module imports ``fileio`` or defines a writer."""
+    importers = {name for name, tree in TREES.items() for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.module == "fileio" or node.module is None and "fileio" in {a.name for a in node.names})}
+    writers = {name for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and re.match(r"_?write_", node.name)}
+    assert importers == {"cli.py", "matrix.py"}
+    assert writers == {"cli.py", "fileio.py"}

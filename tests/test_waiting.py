@@ -1,5 +1,6 @@
 """Gap statistics: distributions, risk functions, rescaling, fits, dispersion."""
 import contextlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -158,6 +159,20 @@ class TestAggregateMixing:
         assert not reference[agg.counts.size:].any()
         assert agg.counts.sum() == agg.sample_count
         np.testing.assert_array_equal(agg.f, agg.counts / agg.sample_count)
+
+    def test_peak_memory_follows_the_gaps(self):
+        """At #T=1000000 one horizon-long int64 histogram alone is 8 MB.  Ten words on consecutive
+        days (classes k = 2..11, every gap 1 day) keep the running histogram at their longest gap."""
+        m = build_matrix({f"w{k:02d}": {d: 1 for d in range(k)} for k in range(2, 12)}, horizon=1_000_000)
+        index = build_ensembles(m)
+        tracemalloc.start()
+        try:
+            agg = aggregate_distribution(index, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert agg.counts.tolist() == [55] and agg.sample_count == 55  # 1 + 2 + ... + 10 gaps
+        assert peak < 2**20
 
     def test_two_point_mixture_dispersion(self):
         # continuous-mixture oracle: equal-weight exp(1) and exp(10) gaps
