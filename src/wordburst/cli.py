@@ -12,39 +12,45 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
+import signal
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .dense import BIN_WIDTH, WINDOW, matched_poisson_null, pool_rescaled, sigma_scaling
-from .ensembles import build_ensembles, select_dense, select_dilute
 from .errors import EmptySampleError, FitDidNotConverge, WordburstError
 from .fileio import write_json, write_table
-from .ingest import CleaningReport, ScanLog, bin_daily, clean_missing_scans, read_flat_corpus
-from .matrix import load_matrix, save_matrix
-from .nullmodels import SyntheticCorpusSpec, generate
-from .rankstats import fit_modified_power_law, fit_report_json, fit_zipf, fit_zipf_mandelbrot, rank_curve
-from .waiting import (
-    aggregate_distribution,
-    ensemble_distribution,
-    fit_stretched_exponential,
-    log_binned_density,
-    mean_waiting_check,
-    rescale_time,
-    risk_function,
-    risk_rows,
-    zeta_by_ensemble,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+
+def _layer(module: str, name: str):
+    """A stand-in for ``wordburst.<module>.<name>`` that imports the module on its first call, so a
+    command loads only its own layers, and ``--version``, ``--help`` and a usage error load no numpy."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# every layer function the commands call, by module, bound here under its own name as a stand-in;
+# the tests patch these names, and perfbench/trace_cmd.py wraps them in spans
+_LAYERS = {
+    "dense": ("matched_poisson_null", "pool_rescaled", "sigma_scaling"),
+    "ensembles": ("build_ensembles", "select_dense", "select_dilute"),
+    "ingest": ("bin_daily", "clean_missing_scans", "read_flat_corpus"),
+    "matrix": ("load_matrix", "save_matrix"),
+    "nullmodels": ("generate",),
+    "rankstats": ("fit_modified_power_law", "fit_report_json", "fit_zipf", "fit_zipf_mandelbrot", "rank_curve"),
+    "waiting": ("aggregate_distribution", "ensemble_distribution", "fit_stretched_exponential", "log_binned_density",
+                "mean_waiting_check", "rescale_time", "risk_function", "risk_rows", "zeta_by_ensemble"),
+}
+globals().update((name, _layer(module, name)) for module, names in _LAYERS.items() for name in names)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +102,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a SIGTERM unwinds like an error: the run's files are removed and its fit workers stopped
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         return args.func(args)
     except FitDidNotConverge as exc:
@@ -104,9 +112,12 @@ def main(argv=None) -> int:
     except (WordburstError, OSError, UnicodeDecodeError) as exc:
         print(f"wordburst: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import CleaningReport, ScanLog
     log = None if args.scan_log is None else ScanLog.from_json(Path(args.scan_log).read_text(encoding="utf-8"))
     matrix = bin_daily(read_flat_corpus(args.input))  # every refusal comes before the directory is touched
     if log is None:  # nothing to clean: no per-day log, no copy of the matrix
@@ -196,7 +207,7 @@ def _dilute_tables(matrix, out, args, pool) -> tuple[dict, dict]:
         queue["aggregate"] = risk_function(agg)
         write_table(out("aggregate.csv"), ["tau", "f", "R"], risk_rows(agg, queue["aggregate"]))
         write_table(out("aggregate_binned.csv"), ["tau_lo", "tau_hi", "tau_center", "density"],
-                    zip(*log_binned_density(np.repeat(agg.support, agg.counts))))
+                    zip(*log_binned_density(agg.support, agg.counts)))
     except EmptySampleError:
         print("wordburst: warning: no waiting times in any sparse class", file=sys.stderr)
     if args.emit_plots:
@@ -206,6 +217,7 @@ def _dilute_tables(matrix, out, args, pool) -> tuple[dict, dict]:
 
 def _fit_record(risk) -> dict:
     """The ``fits.json`` record of one risk function; runs in the parent or in a fit worker."""
+    from dataclasses import asdict  # loaded with the fits' module; importing it here keeps it out of start-up
     try:
         return asdict(fit_stretched_exponential(risk))
     except (EmptySampleError, FitDidNotConverge) as exc:
@@ -223,12 +235,11 @@ def _fit_pool():
         yield None
         return
     import multiprocessing
-    import signal
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _fit_worker)
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT, signal.SIGTERM])
     try:
-        pool.submit(int)  # forks every worker now; each keeps SIGINT blocked
+        pool.submit(int)  # forks every worker now; each keeps SIGINT blocked, SIGTERM until its initializer
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield pool
     except BrokenProcessPool as exc:
@@ -248,12 +259,15 @@ def _fit_worker() -> None:
     this worker's parent sentinel, so its read end sees end-of-file once they are all gone, however they died."""
     import multiprocessing.connection
     import threading
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the command's handler unwinds the command, not a worker
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
     sentinel = multiprocessing.parent_process().sentinel
     threading.Thread(target=lambda: (multiprocessing.connection.wait([sentinel]), os._exit(1)), daemon=True).start()
     __import__("scipy", None, None, ("special", "linalg"))
 
 
 def _analyze_dense(path, out, args) -> None:
+    from .dense import BIN_WIDTH, WINDOW
     matrix = load_matrix(path)
     index = build_ensembles(matrix)
     selected = select_dense(index, args.k_lo, args.k_hi)
@@ -286,6 +300,7 @@ def _analyze_dense(path, out, args) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .nullmodels import SyntheticCorpusSpec
     spec = SyntheticCorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
     with _Outputs(args.output, [args.spec]) as out:
         matrix = generate(spec)

@@ -7,8 +7,6 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
 
 @contextlib.contextmanager
 def atomic_writer(path, newline="\n"):
@@ -38,6 +36,7 @@ def write_table(path, header, rows, plot=False) -> None:
     """Write ``rows`` under column names ``header``: CSV in the ``csv`` module's
     default dialect (CRLF line ends) or, with ``plot``, space separated under a
     ``# `` header line.  Floats are written as ``%.12g``, integers exactly."""
+    import numpy as np  # loaded by the time a table is written; importing it here keeps it out of start-up
     with atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh, delimiter=" ", lineterminator="\n") if plot else csv.writer(fh)
         writer.writerow(["#", *header] if plot else header)

@@ -533,21 +533,23 @@ def zeta_by_ensemble(classes: list[Ensemble], matrix: WordDayMatrix,
     return rows
 
 
-def log_binned_density(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Histogram a gap sample into logarithmic bins (edges 1.25**i) for display.
+def log_binned_density(support, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Histogram a gap sample, given as each gap length in ``support`` and its integer
+    ``counts``, into logarithmic bins (edges 1.25**i) for display.
 
     Returns (lower, upper, center, density) arrays with empty bins
     dropped; statistics should always use the unbinned sample.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.size == 0:
+    support, counts = np.asarray(support, dtype=float), np.asarray(counts, dtype=np.int64)
+    n = int(counts.sum())
+    if n == 0:
         raise EmptySampleError("nothing to bin")
-    n_bins = int(np.ceil(np.log(taus.max() + 1) / np.log(1.25))) + 1
+    n_bins = int(np.ceil(np.log(support[counts > 0].max() + 1) / np.log(1.25))) + 1
     edges = np.power(1.25, np.arange(n_bins + 1))
-    counts, _ = np.histogram(taus, bins=edges)
+    binned, _ = np.histogram(support, bins=edges, weights=counts)
     widths = np.diff(edges)
-    density = counts / (taus.size * widths)
-    keep = counts > 0
+    density = binned / (n * widths)
+    keep = binned > 0
     centers = np.sqrt(edges[:-1] * edges[1:])
     return edges[:-1][keep], edges[1:][keep], centers[keep], density[keep]
 

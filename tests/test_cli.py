@@ -795,6 +795,11 @@ def command_argv(tmp_path_factory):
     }
 
 
+def sigterm_state() -> tuple:
+    """A fit worker's SIGTERM action and whether SIGTERM is blocked, as a pool task."""
+    return signal.getsignal(signal.SIGTERM), signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
 def file_bytes(root: Path) -> dict:
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -898,9 +903,10 @@ class TestFailedRun:
 
     @pytest.mark.parametrize("name", ["SIGKILL", "SIGTERM"])
     def test_no_fit_worker_outlives_its_command(self, tmp_path, command_argv, name):
-        """A command killed by a signal sent to its PID alone, as by the OOM killer or a job scheduler,
-        runs no signal handler; each of its three workers, importing scipy or not, exits within seconds.
-        Nothing reaps an orphan where PID 1 does not, so a worker in state Z has exited."""
+        """A signal sent to a command's PID alone: SIGKILL, as from the OOM killer, runs no handler,
+        and SIGTERM, as from a job scheduler, unwinds the command with exit code 143.  Either way
+        each of its three workers, importing scipy or not, exits within seconds.  Nothing reaps an
+        orphan where PID 1 does not, so a worker in state Z has exited."""
         if not Path("/proc/self/stat").exists():
             pytest.skip("reads process states through /proc")
         _, argvs, signum = *command_argv, getattr(signal, name)
@@ -927,12 +933,50 @@ class TestFailedRun:
             workers = [int(pid) for pid in proc.stdout.readline().split()]
             for pid in workers:  # whatever the outcome, no worker outlives the test
                 stack.callback(lambda pid=pid: running(pid) and os.kill(pid, signal.SIGKILL))
-            assert proc.wait(timeout=60) == -signum
+            assert proc.wait(timeout=60) == (128 + signum if name == "SIGTERM" else -signum)
             assert len(workers) == 3, (tmp_path / "stderr.txt").read_text(encoding="utf-8")
             deadline = time.monotonic() + 5
             while any(map(running, workers)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert [pid for pid in workers if running(pid)] == []
+
+    def test_sigterm_unwinds_like_an_error(self, tmp_path, command_argv):
+        """``kill PID`` mid-run, with two tables written and three workers forked, removes the run's
+        files and stops its workers as a failed write does; the exit code is 128 + 15, silently."""
+        _, argvs = command_argv
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        code = ("import os, signal, sys\nimport wordburst.cli as cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+                "def zeta_by_ensemble(*args, **kwargs):\n"  # waiting.csv and rescaled.csv are written
+                "    os.kill(os.getpid(), signal.SIGTERM)\n    signal.pause()\n"
+                "cli.zeta_by_ensemble = zeta_by_ensemble\nsys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, *argvs["dilute"], "--output", str(out)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stderr) == (128 + signal.SIGTERM, "")
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    def test_fit_worker_never_runs_the_commands_sigterm_handler(self, monkeypatch):
+        """A worker is forked with SIGTERM blocked and unblocks it only once its initializer has
+        restored the default action, so a ``terminate()`` just after the fork ends it silently."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        read, write = os.pipe()
+        real_initializer = cli._fit_worker
+
+        def initializer():
+            os.write(write, b"%d" % (signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, [])))
+            real_initializer()
+
+        monkeypatch.setattr(cli, "_fit_worker", initializer)
+        try:
+            with cli._fit_pool() as pool:
+                assert pool.submit(sigterm_state).result() == (signal.SIG_DFL, False)
+            assert os.read(read, 1) == b"1"
+        finally:
+            os.close(read)
+            os.close(write)
 
     def test_failed_load_stops_idle_fit_workers(self, tmp_path, capsys, monkeypatch):
         """A worker still importing scipy is terminated, not waited for, when the command fails."""
@@ -998,17 +1042,33 @@ class TestManifestMatchesFiles:
             assert json.loads((out / "dense.json").read_text(encoding="utf-8"))["word_count"] == 0
 
 
-def test_every_traced_stage_is_a_cli_function():
+def test_every_traced_stage_is_a_cli_function(monkeypatch):
     """The benchmark's tracer wraps these names in ``wordburst.cli``; a stage
-    the CLI stops importing would silently drop out of its spans."""
+    the CLI stops binding would silently drop out of its spans.  Each is a stand-in
+    that calls the same-named function of its module, so a misspelt entry fails here,
+    not in a user's run; and every public name of the package resolves."""
     spec = importlib.util.spec_from_file_location(
         "trace_cmd", Path(__file__).resolve().parents[1] / "perfbench" / "trace_cmd.py")
     trace_cmd = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_cmd)
+    import wordburst
     import wordburst.cli as cli
 
     assert [name for name in trace_cmd.SPAN_NAMES if not callable(getattr(cli, name, None))] == []
     assert any(trace_cmd.WRITER.match(name) and callable(value) for name, value in vars(cli).items())
+    assert set(trace_cmd.SPAN_NAMES) <= {name for names in cli._LAYERS.values() for name in names}
+    for name in wordburst.__all__:
+        value = getattr(wordburst, name)
+        assert name == "__version__" or (value.__name__, value.__module__.split(".")[0]) == (name, "wordburst")
+    with pytest.raises(AttributeError):
+        wordburst.no_such_name
+    for module, names in cli._LAYERS.items():
+        layer = importlib.import_module(f"wordburst.{module}")
+        for name in names:
+            assert getattr(layer, name).__module__ == layer.__name__, name  # defined there, not imported
+            monkeypatch.setattr(layer, name, lambda *args, _name=name, **kwargs: (_name, args, kwargs))
+            assert getattr(cli, name).__name__ == name
+            assert getattr(cli, name)(1, k=2) == (name, (1,), {"k": 2})
 
 
 @pytest.mark.parametrize("mode, cpus", [("dilute", 1), ("dilute", 2), ("rank", 1)])
@@ -1039,7 +1099,9 @@ def test_matrix_is_freed_before_the_first_fit(tmp_path, monkeypatch, command_arg
 
 def test_commands_without_fits_do_not_import_scipy(tmp_path):
     """scipy costs about half a second per process; only the dilute fits and the
-    special functions may load it.  Rank mode's simplex is a port, not an import."""
+    special functions may load it.  Rank mode's simplex is a port, not an import.
+    Each command, in a fresh interpreter, loads only its own layers: importing the
+    package, ``--version``, ``--help`` and a usage error load no numpy at all."""
     import wordburst
 
     spec = write_spec(tmp_path, horizon=214, n_words=300, rate=7.0)
@@ -1048,27 +1110,39 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path):
                                           "seed": 1, "a": 1.0, "nu": 0.5}), encoding="utf-8")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("2005-02-11\tf\tthe cat\n2005-02-12\tf\tthe hat\n", encoding="utf-8")
-    commands = [
-        ["--version"],
-        ["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")],
-        ["simulate", "--spec", str(stretched_spec), "--output", str(tmp_path / "sim-stretched")],
-        ["ingest", "--input", str(corpus), "--output", str(tmp_path / "ing")],
-        ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dense",
-         "--output", str(tmp_path / "out")],
-        ["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "rank",
-         "--output", str(tmp_path / "rank-sim")],
-        ["analyze", "--input", str(tmp_path / "ing" / "matrix.tsv"), "--mode", "rank",
-         "--output", str(tmp_path / "rank-ing")],
+    src = Path(wordburst.__file__).resolve().parents[1]
+    start_up = ("wordburst", "wordburst.cli", "wordburst.errors", "wordburst.fileio")
+    modules = {f"wordburst.{p.stem}" for p in (src / "wordburst").glob("*.py")}
+    layers = tuple(sorted(modules - {"wordburst.__init__", *start_up}))
+    no_analysis = ("scipy", "wordburst.waiting", "wordburst.dense", "wordburst.rankstats", "wordburst.ingest")
+    cases = [  # (argv, or None for a bare import of the package; exit code; modules it must not load)
+        (None, None, ("numpy", *start_up[1:], *layers)),
+        (["--version"], EXIT_OK, ("numpy", *layers)),
+        (["--help"], EXIT_OK, ("numpy", *layers)),
+        (["analyze"], EXIT_USAGE, ("numpy", *layers)),
+        (["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")], EXIT_OK, no_analysis),
+        (["simulate", "--spec", str(stretched_spec), "--output", str(tmp_path / "sim-stretched")], EXIT_OK,
+         no_analysis),
+        (["ingest", "--input", str(corpus), "--output", str(tmp_path / "ing")], EXIT_OK,
+         ("scipy", "wordburst.waiting", "wordburst.nullmodels")),
+        (["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "dense",
+          "--output", str(tmp_path / "out")], EXIT_OK, ("scipy", "wordburst.waiting", "wordburst.rankstats")),
+        (["analyze", "--input", str(tmp_path / "sim" / "matrix.tsv"), "--mode", "rank",
+          "--output", str(tmp_path / "rank-sim")], EXIT_OK, ("scipy", "wordburst.waiting", "wordburst.dense")),
+        (["analyze", "--input", str(tmp_path / "ing" / "matrix.tsv"), "--mode", "rank",
+          "--output", str(tmp_path / "rank-ing")], EXIT_OK, ("scipy", "wordburst.waiting", "wordburst.dense")),
     ]
-    code = ("import json, sys\nfrom wordburst.cli import main\n"
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
-    src = str(Path(wordburst.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [EXIT_OK] * 7, proc.stderr
-    assert scipy_modules == []
+    code = ("import json, sys\nargv = json.loads(sys.argv[1])\n"
+            "if argv is None:\n    import wordburst\n    code = None\n"
+            "else:\n    from wordburst.cli import main\n    code = main(argv)\n"
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    for argv, expected, forbidden in cases:
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        returned, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert returned == expected, (argv, proc.stderr)
+        assert "wordburst" in modules and (argv is None or "wordburst.cli" in modules)
+        assert [m for m in modules if m in forbidden or m.startswith(tuple(f + "." for f in forbidden))] == [], argv
     assert (tmp_path / "out" / "xtilde.csv").is_file() and json.loads(
         (tmp_path / "out" / "dense.json").read_text(encoding="utf-8"))["word_count"] > 0
     # the simulated curve is fitted by the simplex; the three-word corpus is degenerate

@@ -543,12 +543,29 @@ class TestZetaBlocks:
 class TestLogBinning:
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(60)
-        taus = rng.integers(1, 500, 20_000)
-        lo, hi, center, density = log_binned_density(taus)
+        support, counts = np.unique(rng.integers(1, 500, 20_000), return_counts=True)
+        lo, hi, center, density = log_binned_density(support, counts)
         assert np.sum(density * (hi - lo)) == pytest.approx(1.0, rel=1e-9)
         assert np.all(density > 0)
         assert np.all(hi / lo == pytest.approx(1.25, rel=1e-9))
 
+    def test_histogram_bins_like_its_sample(self):
+        """A histogram, zero-count gap lengths included, bins exactly as its expanded sample
+        does under ``np.histogram``: the longest gap with a count, not the support, ends the bins."""
+        rng = np.random.default_rng(61)
+        counts = rng.integers(0, 4, 300) * (rng.random(300) < 0.3)
+        counts[-20:] = 0
+        support = np.arange(1, counts.size + 1)
+        taus = np.repeat(support, counts)
+        lo, hi, center, density = log_binned_density(support, counts)
+        edges = np.power(1.25, np.arange(np.ceil(np.log(taus.max() + 1) / np.log(1.25)) + 2))
+        binned = np.histogram(taus, bins=edges)[0]
+        kept = binned > 0
+        assert (lo.tolist(), hi.tolist()) == (edges[:-1][kept].tolist(), edges[1:][kept].tolist())
+        assert density.tolist() == (binned / (taus.size * np.diff(edges)))[kept].tolist()
+        assert np.array_equal(center, np.sqrt(lo * hi))
+
     def test_requires_data(self):
-        with pytest.raises(EmptySampleError):
-            log_binned_density(np.array([]))
+        for support, counts in (([], []), ([1, 2, 3], [0, 0, 0])):
+            with pytest.raises(EmptySampleError):
+                log_binned_density(np.array(support), np.array(counts, dtype=np.int64))
